@@ -297,8 +297,8 @@ func BenchmarkServiceTick(b *testing.B) {
 // 256-node torus. The full arm is the from-scratch rebuild the CRC paid
 // every epoch before incremental repair; the repair arm is one link
 // failing and recovering against a live table — on a symmetric fabric most
-// affected columns are ECMP tie scrubs, so the per-event cost drops by
-// roughly the node count.
+// affected columns only lose an ECMP tie and need no rebuild, so the
+// per-event cost drops by roughly the node count.
 func BenchmarkRouteRebuild(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		g := topo.NewTorus(16, 16, topo.Options{})

@@ -252,12 +252,6 @@ func (f *Fabric) PeakQueueDelay() sim.Duration {
 	return peak
 }
 
-// Hosts returns the per-node hosts.
-func (f *Fabric) Hosts() []*host.Host { return f.hosts }
-
-// Switches returns the per-node switches.
-func (f *Fabric) Switches() []*switching.Switch { return f.switches }
-
 // PowerBudget returns the rack power envelope tracker.
 func (f *Fabric) PowerBudget() *power.Budget { return f.budget }
 

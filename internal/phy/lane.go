@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 
-	"rackfab/internal/sim"
 	"rackfab/internal/telemetry"
 )
 
@@ -55,15 +54,10 @@ type LaneStats struct {
 	UncorrectableFrames telemetry.Counter
 	// Latency smooths observed one-way lane latency (ps).
 	Latency *telemetry.EWMA
-	// rate estimates effective bandwidth in bit/s.
-	rate *telemetry.RateEstimator
 }
 
 func newLaneStats() *LaneStats {
-	return &LaneStats{
-		Latency: telemetry.NewEWMA(0.2),
-		rate:    telemetry.NewRateEstimator(0.3),
-	}
+	return &LaneStats{Latency: telemetry.NewEWMA(0.2)}
 }
 
 // MeasuredBER returns the receiver's bit error rate estimate over the
@@ -75,15 +69,6 @@ func (s *LaneStats) MeasuredBER() float64 {
 	}
 	return float64(s.PreFECBitErrors.Value()) / float64(bits)
 }
-
-// SampleRate records the cumulative bit count at now and returns the
-// effective bandwidth estimate in bit/s.
-func (s *LaneStats) SampleRate(now sim.Time) float64 {
-	return s.rate.Sample(s.BitsCarried.Value(), int64(now))
-}
-
-// EffectiveBandwidth returns the latest bandwidth estimate in bit/s.
-func (s *LaneStats) EffectiveBandwidth() float64 { return s.rate.Value() }
 
 // Lane is one physical lane: a serial channel at a fixed signalling rate.
 type Lane struct {

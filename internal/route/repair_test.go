@@ -5,37 +5,62 @@ import (
 	"math"
 	"testing"
 
+	"rackfab/internal/phy"
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
 )
 
-// tablesEqual asserts t2 routes identically to t1: same distances, same
-// primary next hops, same ECMP tie sets (as edge-index sets, arena layout
-// aside).
+// tieList returns the ECMP tie set of from→dst in hash order, read through
+// the public NextHopECMP: ties are distinct edges and hash h picks tie
+// h mod count, so the hash sequence first repeats its hop-0 edge exactly at
+// the tie count. A sequence that never repeats within the node's degree
+// fails the test.
+func tieList(t *testing.T, g *topo.Graph, tab *Table, from, dst topo.NodeID) []*topo.Edge {
+	t.Helper()
+	first, ok := tab.NextHopECMP(from, dst, 0)
+	if !ok {
+		return nil
+	}
+	ties := []*topo.Edge{first}
+	for h := uint64(1); h <= uint64(len(g.Adjacent(from))); h++ {
+		e, ok := tab.NextHopECMP(from, dst, h)
+		if !ok {
+			t.Fatalf("NextHopECMP %d→%d: hash %d found no hop, hash 0 did", from, dst, h)
+		}
+		if e == first {
+			return ties
+		}
+		ties = append(ties, e)
+	}
+	t.Fatalf("NextHopECMP %d→%d: tie sequence never repeats", from, dst)
+	return nil
+}
+
+// tablesEqual asserts got routes identically to want: same distances, same
+// primary next hops, same ECMP tie lists in the same order.
 func tablesEqual(t *testing.T, label string, want, got *Table) {
 	t.Helper()
 	if want.n != got.n {
 		t.Fatalf("%s: n %d vs %d", label, want.n, got.n)
 	}
-	n := want.n
-	for from := 0; from < n; from++ {
-		for dst := 0; dst < n; dst++ {
-			idx := from*n + dst
-			dw, dg := want.dist[idx], got.dist[idx]
+	for from := topo.NodeID(0); int(from) < want.n; from++ {
+		for dst := topo.NodeID(0); int(dst) < want.n; dst++ {
+			dw, dg := want.Distance(from, dst), got.Distance(from, dst)
 			if dw != dg && !(math.IsInf(dw, 1) && math.IsInf(dg, 1)) {
 				t.Fatalf("%s: dist %d→%d = %v, want %v", label, from, dst, dg, dw)
 			}
-			if want.primary[idx] != got.primary[idx] {
-				t.Fatalf("%s: primary %d→%d = %v, want %v", label, from, dst, got.primary[idx], want.primary[idx])
+			pw, _ := want.NextHop(from, dst)
+			pg, _ := got.NextHop(from, dst)
+			if pw != pg {
+				t.Fatalf("%s: primary %d→%d = %v, want %v", label, from, dst, pg, pw)
 			}
-			if want.ecmpCnt[idx] != got.ecmpCnt[idx] {
-				t.Fatalf("%s: ecmp count %d→%d = %d, want %d", label, from, dst, got.ecmpCnt[idx], want.ecmpCnt[idx])
+			tw, tg := tieList(t, want.g, want, from, dst), tieList(t, got.g, got, from, dst)
+			if len(tw) != len(tg) {
+				t.Fatalf("%s: ecmp count %d→%d = %d, want %d", label, from, dst, len(tg), len(tw))
 			}
-			for k := int32(0); k < want.ecmpCnt[idx]; k++ {
-				w := want.arena[want.ecmpOff[idx]+k]
-				g := got.arena[got.ecmpOff[idx]+k]
-				if w != g {
-					t.Fatalf("%s: ecmp[%d] %d→%d = %v, want %v", label, k, from, dst, g, w)
+			for k := range tw {
+				if tw[k] != tg[k] {
+					t.Fatalf("%s: ecmp[%d] %d→%d = %v, want %v", label, k, from, dst, tg[k], tw[k])
 				}
 			}
 		}
@@ -268,7 +293,8 @@ func TestRepairTriageIsSelective(t *testing.T) {
 
 // TestRepairTieScrubAvoidsRebuild: on a symmetric fabric most columns see a
 // failed edge only through their ECMP tie sets — their distances survive, so
-// the triage must scrub those rows in place instead of re-running Dijkstra.
+// the triage must leave them alone (lookups derive the shrunken tie set)
+// instead of rebuilding the column.
 // The rebuilt-column count must stay strictly below the number of columns
 // whose shortest-path DAG references the edge at all (what a
 // reference-counting triage rebuilds), in both the failure and the restore
@@ -281,19 +307,11 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 
 	// Columns whose shortest-path DAG references e as primary or tie.
 	referenced := 0
-	for dst := 0; dst < n; dst++ {
+	for dst := topo.NodeID(0); int(dst) < n; dst++ {
 		hit := false
-		for from := 0; from < n && !hit; from++ {
-			idx := from*n + dst
-			if tab.primary[idx] == e {
-				hit = true
-				break
-			}
-			for k := int32(0); k < tab.ecmpCnt[idx]; k++ {
-				if tab.arena[tab.ecmpOff[idx]+k] == e {
-					hit = true
-					break
-				}
+		for from := topo.NodeID(0); int(from) < n && !hit; from++ {
+			for _, x := range tieList(t, g, tab, from, dst) {
+				hit = hit || x == e
 			}
 		}
 		if hit {
@@ -310,7 +328,7 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 		t.Fatal("endpoint columns lost their only 1-hop path yet nothing rebuilt")
 	}
 	if down >= referenced {
-		t.Fatalf("failure rebuilt %d of %d referencing columns — tie scrub never engaged", down, referenced)
+		t.Fatalf("failure rebuilt %d of %d referencing columns — tie-only triage never engaged", down, referenced)
 	}
 	tablesEqual(t, "down", Build(g, UniformCost), tab)
 
@@ -320,4 +338,110 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 		t.Fatalf("restore rebuilt %d of %d referencing columns", up, referenced)
 	}
 	tablesEqual(t, "up", Build(g, UniformCost), tab)
+}
+
+// fuzzShape builds one of the fuzz target's small fabrics, each with a
+// runtime express edge spanning a row so shortcuts and their ties are in
+// play.
+func fuzzShape(sel uint8) *topo.Graph {
+	var g *topo.Graph
+	var a, b topo.NodeID
+	var via []topo.NodeID
+	switch sel % 3 {
+	case 0:
+		g = topo.NewGrid(4, 3, topo.Options{})
+		a, b, via = g.NodeAt(0, 1), g.NodeAt(3, 1), []topo.NodeID{g.NodeAt(1, 1), g.NodeAt(2, 1)}
+	case 1:
+		g = topo.NewTorus(4, 3, topo.Options{})
+		a, b, via = g.NodeAt(0, 0), g.NodeAt(2, 0), []topo.NodeID{g.NodeAt(1, 0)}
+	default:
+		g = topo.NewLine(7, topo.Options{})
+		a, b, via = 1, 5, []topo.NodeID{2, 3, 4}
+	}
+	g.AddExpress(a, b, via, phy.MustLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9))
+	return g
+}
+
+// FuzzRouteRepair random-walks a small fabric through batches of disable,
+// enable and re-price operations, applied through Repair edge by edge or
+// through one RepairBatch. After every batch the repaired table must equal
+// a fresh Build — distances and NextHopECMP tie lists — and Path must
+// terminate for every pair: at the destination when it is reachable, with
+// ErrUnreachable when it is not. Prices are multiples of 0.5, so walks pass
+// through uniform (BFS) and priced (Dijkstra) snapshots alike.
+//
+// Ops are byte pairs (op, edge): op%4 is disable, enable, re-price (to
+// 0.5×(2 + (op>>2)%6)) or end-of-batch; an end-of-batch op with bit 7 set
+// applies the batch edge by edge through Repair.
+func FuzzRouteRepair(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 0, 5, 3, 0, 1, 0, 131, 0})
+	f.Add(uint8(1), []byte{2, 1, 6, 2, 3, 0, 0, 1, 0, 4, 0, 7, 131, 0, 1, 1, 1, 4, 3, 0})
+	f.Add(uint8(2), []byte{0, 0, 3, 0, 0, 6, 3, 0, 1, 0, 1, 6, 131, 0, 22, 3, 3, 0})
+	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
+		if len(ops) > 128 {
+			ops = ops[:128]
+		}
+		g := fuzzShape(shape)
+		edges := g.Edges()
+		price := make([]float64, g.EdgeIndexBound())
+		for i := range price {
+			price[i] = 1
+		}
+		cost := func(e *topo.Edge) float64 {
+			if !e.Enabled() || !e.Link.Up() {
+				return math.Inf(1)
+			}
+			return price[e.Index()]
+		}
+		tab := Build(g, cost)
+		var batch []*topo.Edge
+		flush := func(sequential bool) {
+			if sequential {
+				for _, e := range batch {
+					tab.Repair(g, cost, e)
+				}
+			} else {
+				tab.RepairBatch(g, cost, batch)
+			}
+			batch = batch[:0]
+			tablesEqual(t, "repaired vs fresh", Build(g, cost), tab)
+			for from := topo.NodeID(0); int(from) < g.NumNodes(); from++ {
+				for dst := topo.NodeID(0); int(dst) < g.NumNodes(); dst++ {
+					path, err := tab.Path(from, dst)
+					if !tab.Reachable(from, dst) {
+						if !errors.Is(err, ErrUnreachable) {
+							t.Fatalf("Path %d→%d across a partition: err %v", from, dst, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("Path %d→%d: %v", from, dst, err)
+					}
+					cur := from
+					for _, e := range path {
+						cur = e.Other(cur)
+					}
+					if cur != dst {
+						t.Fatalf("Path %d→%d ends at %d", from, dst, cur)
+					}
+				}
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, e := ops[i], edges[int(ops[i+1])%len(edges)]
+			switch op % 4 {
+			case 0:
+				e.SetEnabled(false)
+			case 1:
+				e.SetEnabled(true)
+			case 2:
+				price[e.Index()] = 0.5 * float64(2+int(op>>2)%6)
+			case 3:
+				flush(op&0x80 != 0)
+				continue
+			}
+			batch = append(batch, e)
+		}
+		flush(false)
+	})
 }

@@ -7,6 +7,19 @@
 // per-link price tag — and this package turns those prices into next-hop
 // tables. Routing is therefore plain weighted shortest path; adaptivity
 // comes entirely from re-pricing and re-building, not from a new protocol.
+//
+// A Table stores only shortest-path distances and the edge-cost snapshot
+// they were computed under. Next hops are derived on lookup: the edges
+// incident to a node whose cost plus the far end's distance equals the
+// node's own distance are its cost-tied (ECMP) next hops, in adjacency
+// order. Rebuilds and repairs therefore touch one float per pair and no
+// pointers, which is what makes re-pricing cheap at rack scale.
+//
+// Because ties are derived from the graph's adjacency at lookup time, a
+// table describes exactly the graph it was built over: every graph
+// mutation (topo.Graph.AddExpress, RemoveExpress) must be followed by a
+// fresh Build before the next lookup. Cost changes on existing edges are
+// the job of Repair and RepairBatch.
 package route
 
 import (
@@ -39,250 +52,99 @@ func UniformCost(e *topo.Edge) float64 {
 	return 1
 }
 
-// Table holds next-hop routing state for every (node, destination) pair.
-// Cost-tied next hops for all pairs share one backing arena addressed by
-// (offset, count) per pair — a rebuild allocates a handful of flat slices
-// instead of one slice header per reachable pair.
+// eps is the tolerance of every tie test: an edge is on a shortest path
+// when its cost plus the far end's distance matches the near end's
+// distance to within eps.
+const eps = 1e-9
+
+// Table holds shortest-path distances for every (node, destination) pair
+// over one graph. Distances are stored column-major — column dst is the
+// contiguous slice dist[dst*n : dst*n+n] — so a column build writes one
+// slice in place and a repair triage reads one. The ECMP tie set of a pair
+// is never stored: NextHop, NextHopECMP and Path derive it on each lookup
+// from the column and the cost snapshot, in adjacency order.
 type Table struct {
-	n       int
-	primary []*topo.Edge // [from*n+dst] deterministic best next hop
-	ecmpOff []int32      // [from*n+dst] offset of the pair's ties in arena
-	ecmpCnt []int32      // [from*n+dst] number of cost-tied next hops
-	arena   []*topo.Edge // concatenated tie lists
-	dist    []float64    // [from*n+dst] total path cost
-	costOf  []float64    // [edge index] cost snapshot of the last build/repair
+	n      int
+	g      *topo.Graph
+	dist   []float64 // [dst*n+from] total path cost
+	costOf []float64 // [edge index] cost snapshot of the last build/repair
 }
 
-// Build runs one backward Dijkstra per destination over the live graph and
-// records, for every node, the incident edge(s) starting a minimum-cost
-// path to that destination. Edge costs are evaluated once up front: a cost
-// function reads live link state, and one build must see a consistent
-// snapshot of it anyway.
+// Build computes every destination column over the live graph: by BFS when
+// every finite edge cost is equal, by Dijkstra otherwise. Edge costs are
+// evaluated once up front: a cost function reads live link state, and one
+// build must see a consistent snapshot of it anyway.
 func Build(g *topo.Graph, cost CostFunc) *Table {
 	n := g.NumNodes()
-	t := &Table{
-		n:       n,
-		primary: make([]*topo.Edge, n*n),
-		ecmpOff: make([]int32, n*n),
-		ecmpCnt: make([]int32, n*n),
-		dist:    make([]float64, n*n),
-	}
-	for i := range t.dist {
-		t.dist[i] = math.Inf(1)
-	}
-	t.costOf = make([]float64, g.EdgeIndexBound())
+	t := &Table{n: n, g: g, dist: make([]float64, n*n), costOf: make([]float64, g.EdgeIndexBound())}
 	for _, e := range g.Edges() {
-		c := cost(e)
-		if !math.IsInf(c, 1) && c <= 0 {
-			panic(fmt.Sprintf("route: non-positive edge cost %v on %d-%d", c, e.A, e.B))
-		}
-		t.costOf[e.Index()] = c
+		t.costOf[e.Index()] = checkedCost(cost, e)
 	}
-	scratch := &buildScratch{dist: make([]float64, n)}
+	b := t.newBuilder()
 	for dst := 0; dst < n; dst++ {
-		buildForDst(g, topo.NodeID(dst), t.costOf, t, scratch)
+		b.column(dst)
 	}
 	return t
 }
 
+func checkedCost(cost CostFunc, e *topo.Edge) float64 {
+	c := cost(e)
+	if !math.IsInf(c, 1) && c <= 0 {
+		panic(fmt.Sprintf("route: non-positive edge cost %v on %d-%d", c, e.A, e.B))
+	}
+	return c
+}
+
 // Repair updates the table in place after exactly one edge's cost changed
-// (a link failed, recovered, or was re-priced), re-running Dijkstra only
-// for the destination columns whose shortest-path *distances* the change
-// can move. The triage distinguishes three impacts per destination:
+// (a link failed, recovered, or was re-priced). It is RepairBatch with a
+// one-edge batch; see there for the triage. Returns the number of
+// destination columns rebuilt.
+func (t *Table) Repair(g *topo.Graph, cost CostFunc, e *topo.Edge) int {
+	return t.RepairBatch(g, cost, []*topo.Edge{e})
+}
+
+// RepairBatch applies several simultaneous edge-cost changes — one link, a
+// node event's incident links, a multi-link pulse — re-building only the
+// destination columns whose shortest-path distances can move. All cost
+// snapshots move first; then every column is triaged once against every
+// change using its current (pre-batch) distances, and each affected column
+// rebuilds exactly once over the final costs. Per column and change the
+// triage is O(1) and has three outcomes:
 //
 //   - none: the edge was not on the column's shortest-path DAG and the new
-//     cost creates no shorter or tied path — untouched.
-//   - ties only: distances provably survive, only an ECMP tie set at one
-//     endpoint of the edge changes — a cost increase removing one of ≥2
-//     cost-tied next hops, or a decrease landing exactly on the current
-//     shortest cost. The endpoint's tie list is re-derived in place
-//     against the unchanged distance column (in the same adjacency order
-//     buildForDst uses, so the row stays bit-identical to a fresh build);
-//     no Dijkstra runs.
-//   - full: distances can move (the sole shortest path died, a strictly
-//     shorter path appeared, reachability was restored) — one buildForDst
-//     over the current cost snapshot, bit-identical to a fresh Build.
+//     cost creates no strictly shorter path. A decrease landing exactly on
+//     the shortest cost only adds a tie, which lookups derive by
+//     themselves.
+//   - tie lost: the edge was on the DAG and got dearer (or died). The
+//     distances survive iff its far endpoint keeps a cost-tied next hop
+//     under the final costs; only if none is left does the column rebuild.
+//   - full: distances can move (a cheaper edge on the DAG, a strictly
+//     shorter path, reachability restored) — the column rebuilds.
 //
 // On fabrics with equal-cost path diversity (tori, wide grids) most
-// affected columns are ties-only, cutting a repair from ~k Dijkstra runs
-// to k row scrubs — the ~n-fold cut BenchmarkRouteRebuild's repair arm
-// measures.
+// affected columns only lose a tie, cutting a repair from ~k column builds
+// to k O(degree) checks.
 //
-// For a sequence of simultaneous changes (a node loss downs several
-// links), use RepairBatch — or call Repair once per edge: each call
-// triages against the then-current distances, which keeps the single-edge
-// tests sound.
-//
-// Rebuilt columns and grown tie lists append fresh segments to the shared
-// arena; the old segments are orphaned, so a table repaired thousands of
-// times grows its arena — rebuild from scratch if repair churn ever
-// dominates. Returns the number of destination columns fully rebuilt
-// (ties-only scrubs are not counted: no column was rebuilt).
-func (t *Table) Repair(g *topo.Graph, cost CostFunc, e *topo.Edge) int {
-	if cost == nil {
-		cost = UniformCost
-	}
-	c1 := cost(e)
-	if !math.IsInf(c1, 1) && c1 <= 0 {
-		panic(fmt.Sprintf("route: non-positive edge cost %v on %d-%d", c1, e.A, e.B))
-	}
-	c0 := t.costOf[e.Index()]
-	if c1 == c0 {
-		return 0
-	}
-	t.costOf[e.Index()] = c1
-	n := t.n
-	a, b := int(e.A), int(e.B)
-	scratch := &buildScratch{dist: make([]float64, n)}
-	rebuilt := 0
-	for dst := 0; dst < n; dst++ {
-		impact, row := t.columnImpact(dst, a, b, c0, c1)
-		if impact == colTies && t.scrubRow(g, row, dst) {
-			impact = colFull // every tie vanished: distances moved after all
-		}
-		if impact == colFull {
-			buildForDst(g, topo.NodeID(dst), t.costOf, t, scratch)
-			rebuilt++
-		}
-	}
-	return rebuilt
-}
-
-// Per-destination triage outcomes.
-const (
-	colNone = iota // untouched
-	colTies        // distances survive; one endpoint's ECMP tie set changes
-	colFull        // distances can move: full column rebuild
-)
-
-// columnImpact is Repair's per-destination triage: how can an edge (a,b)
-// whose cost moved c0 → c1 touch destination dst? Returns the impact and,
-// for colTies, the node whose tie set must be re-derived. The test is O(1)
-// against the stored distance matrix, which must still describe the
-// table's current column when the test runs — batch callers triage a
-// column against every change BEFORE mutating it.
-func (t *Table) columnImpact(dst, a, b int, c0, c1 float64) (int, int) {
-	const eps = 1e-9
-	n := t.n
-	da, db := t.dist[a*n+dst], t.dist[b*n+dst]
-	if !math.IsInf(c0, 1) && !math.IsInf(da, 1) && !math.IsInf(db, 1) {
-		gap, hiNode := da-db, a
-		if gap < 0 {
-			gap, hiNode = -gap, b
-		}
-		if math.Abs(gap-c0) < eps { // the edge was on dst's shortest-path DAG
-			if c1 < c0 {
-				return colFull, 0 // cheaper edge on the DAG: strictly shorter paths
-			}
-			// Increase or removal: the edge leaves the far endpoint's tie
-			// set. Distances survive iff a cost-tied alternative remains.
-			if t.ecmpCnt[hiNode*n+dst] >= 2 {
-				return colTies, hiNode
-			}
-			return colFull, 0
-		}
-	}
-	if !math.IsInf(c1, 1) {
-		lo, hi, hiNode := da, db, b
-		if lo > hi {
-			lo, hi, hiNode = hi, lo, a
-		}
-		if !math.IsInf(lo, 1) {
-			// hi may be +Inf (connectivity restored): strictly shorter.
-			if c1+lo < hi-eps {
-				return colFull, 0
-			}
-			if c1+lo <= hi+eps {
-				return colTies, hiNode // newly cost-tied next hop
-			}
-		}
-	}
-	return colNone, 0
-}
-
-// scrubRow re-derives the ECMP tie set of one (from, dst) pair against the
-// stored (unchanged) distance column and current cost snapshot, walking
-// g.Adjacent in the same order buildForDst does so the resulting list is
-// bit-identical to a fresh build's. The list shrinks in place; growth
-// appends a fresh arena segment. Returns true when the row emptied — the
-// signal that the triage's distance-survival assumption broke (every tie
-// of a reachable pair vanished) and the caller must fall back to a full
-// column rebuild.
-func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
-	const eps = 1e-9
-	n := t.n
-	idx := from*n + dst
-	dv := t.dist[idx]
-	if from == dst || math.IsInf(dv, 1) {
-		return false
-	}
-	adj := g.Adjacent(topo.NodeID(from))
-	tied := func(e *topo.Edge) bool {
-		c := t.costOf[e.Index()]
-		if math.IsInf(c, 1) {
-			return false
-		}
-		return math.Abs(c+t.dist[int(e.Other(topo.NodeID(from)))*n+dst]-dv) < eps
-	}
-	newCnt := int32(0)
-	for _, e := range adj {
-		if tied(e) {
-			newCnt++
-		}
-	}
-	if newCnt == 0 {
-		t.primary[idx] = nil
-		t.ecmpCnt[idx] = 0
-		return true
-	}
-	off := t.ecmpOff[idx]
-	if newCnt > t.ecmpCnt[idx] {
-		off = int32(len(t.arena))
-		t.arena = append(t.arena, make([]*topo.Edge, newCnt)...)
-		t.ecmpOff[idx] = off
-	}
-	w := off
-	for _, e := range adj {
-		if tied(e) {
-			t.arena[w] = e
-			w++
-		}
-	}
-	t.ecmpCnt[idx] = newCnt
-	t.primary[idx] = t.arena[off]
-	return false
-}
-
-// RepairBatch applies several simultaneous edge-cost changes — a node
-// event's incident links, a multi-link pulse — in one triage pass: all cost
-// snapshots move first, every destination column is tested once against
-// every change (using the pre-batch distance matrix throughout), and each
-// affected column rebuilds exactly once over the final costs.
-//
-// The result is bit-identical in routing behavior to calling Repair once
-// per edge in any order. Sketch: sequential repairs keep the table
-// equivalent to a fresh Build after every step, so a column neither repair
-// touches has unchanged distances — the batch triage sees exactly the
-// values each sequential triage would, and a column any single-edge test
-// flags is rebuilt here over the union of changes, which is where the
-// sequential chain also lands it. Columns sequential Repair rebuilds more
-// than once collapse to one buildForDst over the same final snapshot.
-// Returns the number of destination columns rebuilt — at most once each,
-// so the count can undercut the sequential sum.
+// The result is bit-identical to a fresh Build, and to calling Repair once
+// per edge in any order. Sketch: if no column is flagged, the pre-batch
+// distances satisfy the shortest-path equations under the final costs —
+// every reachable node keeps a tie and no edge undercuts a distance — and
+// a flagged column is rebuilt from scratch. A lost tie can only move a
+// distance if every tie of some node died, and the lowest such node is the
+// far endpoint of one of the changed edges, which the tie-lost check
+// inspects. g must be the graph the table was built over. Returns the
+// number of destination columns rebuilt — at most once each, so the count
+// can undercut the sequential sum.
 func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) int {
+	if g != t.g {
+		panic("route: repair on a graph other than the table's")
+	}
 	if cost == nil {
 		cost = UniformCost
-	}
-	type change struct {
-		a, b   int
-		c0, c1 float64
 	}
 	changes := make([]change, 0, len(edges))
 	for _, e := range edges {
-		c1 := cost(e)
-		if !math.IsInf(c1, 1) && c1 <= 0 {
-			panic(fmt.Sprintf("route: non-positive edge cost %v on %d-%d", c1, e.A, e.B))
-		}
+		c1 := checkedCost(cost, e)
 		c0 := t.costOf[e.Index()]
 		if c1 == c0 {
 			continue // also drops duplicate edges: the second sees c0 == c1
@@ -293,76 +155,158 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 	if len(changes) == 0 {
 		return 0
 	}
-	n := t.n
-	scratch := &buildScratch{dist: make([]float64, n)}
+	var b *colBuilder
 	rebuilt := 0
-	var rows []int // ties-only rows of the current column, deduplicated
-	for dst := 0; dst < n; dst++ {
-		// Triage this column against every change before mutating it: a
-		// column's own distances are exactly the pre-batch ones until its
-		// scrub/rebuild below, and no other column's repair touches them.
-		impact := colNone
-		rows = rows[:0]
-		for _, ch := range changes {
-			imp, row := t.columnImpact(dst, ch.a, ch.b, ch.c0, ch.c1)
-			if imp == colFull {
-				impact = colFull
-				break
+	for dst := 0; dst < t.n; dst++ {
+		if t.columnMoves(dst, changes) {
+			if b == nil {
+				b = t.newBuilder()
 			}
-			if imp == colTies {
-				impact = colTies
-				dup := false
-				for _, r := range rows {
-					dup = dup || r == row
-				}
-				if !dup {
-					rows = append(rows, row)
-				}
-			}
-		}
-		if impact == colTies {
-			// Scrub each touched row once over the final costs. A row that
-			// empties means the changes composed into a distance move no
-			// single-edge test could see (e.g. both ties of a node dying in
-			// one batch) — escalate to a full rebuild.
-			for _, row := range rows {
-				if t.scrubRow(g, row, dst) {
-					impact = colFull
-					break
-				}
-			}
-		}
-		if impact == colFull {
-			buildForDst(g, topo.NodeID(dst), t.costOf, t, scratch)
+			b.column(dst)
 			rebuilt++
 		}
 	}
 	return rebuilt
 }
 
-// buildScratch is per-destination working memory reused across the n
-// Dijkstra passes of one Build. The frontier is a heapx heap rather than
-// container/heap: the interface{} boxing there allocated on every push,
-// which dominated Build's allocation profile at rack scale.
-type buildScratch struct {
-	dist []float64
-	pq   heapx.Heap[nodeDist]
+// change is one edge-cost move of a repair batch.
+type change struct {
+	a, b   int
+	c0, c1 float64
 }
 
-// buildForDst fills column dst of the table.
-func buildForDst(g *topo.Graph, dst topo.NodeID, costOf []float64, t *Table, s *buildScratch) {
-	n := g.NumNodes()
-	dist := s.dist
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// columnMoves is the repair triage of destination column dst: can any of
+// the changes move its distances? It reads the column's current distances
+// and the final cost snapshot.
+func (t *Table) columnMoves(dst int, changes []change) bool {
+	col := t.column(dst)
+	for _, ch := range changes {
+		da, db := col[ch.a], col[ch.b]
+		if !math.IsInf(ch.c0, 1) && !math.IsInf(da, 1) && !math.IsInf(db, 1) {
+			gap, hi := da-db, ch.a
+			if gap < 0 {
+				gap, hi = -gap, ch.b
+			}
+			if math.Abs(gap-ch.c0) < eps { // the edge was on dst's shortest-path DAG
+				if ch.c1 < ch.c0 || !t.hasTie(col, hi) {
+					return true
+				}
+				continue
+			}
+		}
+		if !math.IsInf(ch.c1, 1) {
+			lo, hi := math.Min(da, db), math.Max(da, db)
+			// hi may be +Inf (connectivity restored): strictly shorter.
+			if !math.IsInf(lo, 1) && ch.c1+lo < hi-eps {
+				return true
+			}
+		}
 	}
-	dist[dst] = 0
-	pq := &s.pq
+	return false
+}
+
+// hasTie reports whether from has at least one cost-tied next hop in
+// column col under the current cost snapshot.
+func (t *Table) hasTie(col []float64, from int) bool {
+	for _, e := range t.g.Adjacent(topo.NodeID(from)) {
+		if t.tied(col, topo.NodeID(from), e) {
+			return true
+		}
+	}
+	return false
+}
+
+// tied reports whether e, leaving from, starts a shortest path in column
+// col. Edges added to the graph after the last build have no snapshot cost
+// and are never tied.
+func (t *Table) tied(col []float64, from topo.NodeID, e *topo.Edge) bool {
+	i := e.Index()
+	if i >= len(t.costOf) {
+		return false
+	}
+	c := t.costOf[i]
+	return !math.IsInf(c, 1) && math.Abs(c+col[e.Other(from)]-col[from]) < eps
+}
+
+func (t *Table) column(dst int) []float64 {
+	return t.dist[dst*t.n : (dst+1)*t.n]
+}
+
+// colBuilder is working memory reused across the column builds of one
+// Build or repair. The Dijkstra frontier is a heapx heap rather than
+// container/heap: the interface{} boxing there allocated on every push.
+type colBuilder struct {
+	t       *Table
+	uniform bool          // every finite edge cost is equal: build by BFS
+	queue   []topo.NodeID // BFS queue, flat and reused
+	pq      heapx.Heap[nodeDist]
+}
+
+func (t *Table) newBuilder() *colBuilder {
+	return &colBuilder{t: t, uniform: t.uniformCosts()}
+}
+
+// uniformCosts reports whether every finite cost in the snapshot is equal.
+// BFS then computes each distance as its parent's plus that cost — the same
+// float sums, hence the same bits, as Dijkstra.
+func (t *Table) uniformCosts() bool {
+	first := math.Inf(1)
+	for _, e := range t.g.Edges() {
+		c := t.costOf[e.Index()]
+		if math.IsInf(c, 1) {
+			continue
+		}
+		if math.IsInf(first, 1) {
+			first = c
+		} else if c != first {
+			return false
+		}
+	}
+	return true
+}
+
+// column recomputes destination column dst in place over the current cost
+// snapshot.
+func (b *colBuilder) column(dst int) {
+	col := b.t.column(dst)
+	for i := range col {
+		col[i] = math.Inf(1)
+	}
+	col[dst] = 0
+	if b.uniform {
+		b.bfs(col, topo.NodeID(dst))
+	} else {
+		b.dijkstra(col, topo.NodeID(dst))
+	}
+}
+
+func (b *colBuilder) bfs(col []float64, dst topo.NodeID) {
+	g, costOf := b.t.g, b.t.costOf
+	q := append(b.queue[:0], dst)
+	for head := 0; head < len(q); head++ {
+		cur := q[head]
+		for _, e := range g.Adjacent(cur) {
+			c := costOf[e.Index()]
+			if math.IsInf(c, 1) {
+				continue
+			}
+			if next := e.Other(cur); math.IsInf(col[next], 1) {
+				col[next] = col[cur] + c
+				q = append(q, next)
+			}
+		}
+	}
+	b.queue = q
+}
+
+func (b *colBuilder) dijkstra(col []float64, dst topo.NodeID) {
+	g, costOf := b.t.g, b.t.costOf
+	pq := &b.pq
 	pq.Reset()
 	pq.Push(nodeDist{node: dst, dist: 0})
 	for pq.Len() > 0 {
 		cur := pq.Pop()
-		if cur.dist > dist[cur.node] {
+		if cur.dist > col[cur.node] {
 			continue // stale entry
 		}
 		for _, e := range g.Adjacent(cur.node) {
@@ -371,76 +315,47 @@ func buildForDst(g *topo.Graph, dst topo.NodeID, costOf []float64, t *Table, s *
 				continue
 			}
 			next := e.Other(cur.node)
-			if nd := cur.dist + c; nd < dist[next] {
-				dist[next] = nd
+			if nd := cur.dist + c; nd < col[next] {
+				col[next] = nd
 				pq.Push(nodeDist{node: next, dist: nd})
 			}
 		}
 	}
-	// Record next hops: from every node, the edges that step onto a
-	// shortest path toward dst.
-	const eps = 1e-9
-	for from := 0; from < n; from++ {
-		idx := from*n + int(dst)
-		t.dist[idx] = dist[from]
-		// Clear before recording: on a Repair rebuild a pair that became
-		// unreachable must not keep the stale pre-failure next hop.
-		t.primary[idx] = nil
-		t.ecmpOff[idx] = 0
-		t.ecmpCnt[idx] = 0
-		if topo.NodeID(from) == dst || math.IsInf(dist[from], 1) {
-			continue
-		}
-		off := int32(len(t.arena))
-		for _, e := range g.Adjacent(topo.NodeID(from)) {
-			c := costOf[e.Index()]
-			if math.IsInf(c, 1) {
-				continue
-			}
-			if math.Abs(c+dist[e.Other(topo.NodeID(from))]-dist[from]) < eps {
-				t.arena = append(t.arena, e)
-			}
-		}
-		cnt := int32(len(t.arena)) - off
-		if cnt == 0 {
-			continue
-		}
-		t.primary[idx] = t.arena[off]
-		t.ecmpOff[idx] = off
-		t.ecmpCnt[idx] = cnt
-	}
 }
 
-// NextHop returns the deterministic best next-hop edge from from toward to.
-// ok is false for self-delivery or unreachable destinations — including
-// pairs partitioned by a failure and repaired into the table afterwards
-// (buildForDst clears the stale hop rather than leaving the dead edge).
+// NextHop returns the deterministic best next-hop edge from from toward to:
+// the first cost-tied edge in adjacency order. ok is false for
+// self-delivery or unreachable destinations — including pairs partitioned
+// by a failure and repaired into the table afterwards.
 func (t *Table) NextHop(from, to topo.NodeID) (*topo.Edge, bool) {
-	if from == to {
-		return nil, false
-	}
-	e := t.primary[int(from)*t.n+int(to)]
-	return e, e != nil
+	return t.NextHopECMP(from, to, 0)
 }
 
 // NextHopECMP hash-spreads over all cost-tied next hops so distinct flows
-// between the same pair take distinct equal-cost paths.
+// between the same pair take distinct equal-cost paths: it returns tie
+// number flowHash mod (tie count), ties counted in adjacency order.
 func (t *Table) NextHopECMP(from, to topo.NodeID, flowHash uint64) (*topo.Edge, bool) {
-	if from == to {
+	col := t.column(int(to))
+	if from == to || math.IsInf(col[from], 1) {
 		return nil, false
 	}
-	idx := int(from)*t.n + int(to)
-	cnt := t.ecmpCnt[idx]
-	if cnt == 0 {
+	var buf [8]*topo.Edge // fabric degrees fit; larger ones spill to the heap
+	ties := buf[:0]
+	for _, e := range t.g.Adjacent(from) {
+		if t.tied(col, from, e) {
+			ties = append(ties, e)
+		}
+	}
+	if len(ties) == 0 {
 		return nil, false
 	}
-	return t.arena[uint64(t.ecmpOff[idx])+flowHash%uint64(cnt)], true
+	return ties[flowHash%uint64(len(ties))], true
 }
 
 // Distance returns the total path cost from from to to (+Inf when
 // unreachable, 0 for self).
 func (t *Table) Distance(from, to topo.NodeID) float64 {
-	return t.dist[int(from)*t.n+int(to)]
+	return t.dist[int(to)*t.n+int(from)]
 }
 
 // Reachable reports whether to can be reached from from.
@@ -457,7 +372,7 @@ func (t *Table) Path(from, to topo.NodeID) ([]*topo.Edge, error) {
 	if from == to {
 		return nil, nil
 	}
-	if math.IsInf(t.Distance(from, to), 1) {
+	if !t.Reachable(from, to) {
 		return nil, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
 	}
 	var path []*topo.Edge

@@ -202,3 +202,95 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// refDijkstra is an independent reference: textbook O(n²) Dijkstra toward
+// dst over a cost snapshot, returning every node's distance.
+func refDijkstra(g *topo.Graph, cost CostFunc, dst topo.NodeID) []float64 {
+	n := g.NumNodes()
+	dist := make([]float64, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[dst] = 0
+	for {
+		u := -1
+		for v := 0; v < n; v++ {
+			if !done[v] && !math.IsInf(dist[v], 1) && (u < 0 || dist[v] < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return dist
+		}
+		done[u] = true
+		for _, e := range g.Adjacent(topo.NodeID(u)) {
+			c := cost(e)
+			if math.IsInf(c, 1) {
+				continue
+			}
+			if v := e.Other(topo.NodeID(u)); dist[u]+c < dist[v] {
+				dist[v] = dist[u] + c
+			}
+		}
+	}
+}
+
+// TestBFSMatchesDijkstra: uniform-cost tables are built by BFS, priced ones
+// by Dijkstra; both must reproduce the reference Dijkstra's distances bit
+// for bit on every column — at unit cost, at uniform non-unit costs (0.1
+// accumulates rounding, so the float sums themselves must match), and with
+// random prices.
+func TestBFSMatchesDijkstra(t *testing.T) {
+	express := func() *topo.Graph {
+		g := topo.NewGrid(6, 3, topo.Options{})
+		link := phy.MustLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+		g.AddExpress(g.NodeAt(0, 1), g.NodeAt(5, 1), []topo.NodeID{g.NodeAt(1, 1), g.NodeAt(2, 1), g.NodeAt(3, 1), g.NodeAt(4, 1)}, link)
+		return g
+	}
+	shapes := []struct {
+		name string
+		g    *topo.Graph
+	}{
+		{"grid", topo.NewGrid(6, 5, topo.Options{})},
+		{"torus", topo.NewTorus(5, 6, topo.Options{})},
+		{"express", express()},
+	}
+	uniform := func(c float64) CostFunc {
+		return func(e *topo.Edge) float64 { return c * UniformCost(e) }
+	}
+	rng := rand.New(rand.NewSource(62))
+	priced := map[*topo.Edge]float64{}
+	for _, sh := range shapes {
+		for _, e := range sh.g.Edges() {
+			priced[e] = 1 + rng.Float64()*9
+		}
+	}
+	costs := []struct {
+		name string
+		cost CostFunc
+		bfs  bool
+	}{
+		{"unit", UniformCost, true},
+		{"2.5", uniform(2.5), true},
+		{"0.1", uniform(0.1), true},
+		{"priced", func(e *topo.Edge) float64 { return priced[e] }, false},
+	}
+	for _, sh := range shapes {
+		for _, c := range costs {
+			tab := Build(sh.g, c.cost)
+			if got := tab.uniformCosts(); got != c.bfs {
+				t.Fatalf("%s/%s: uniform = %v, want %v", sh.name, c.name, got, c.bfs)
+			}
+			for dst := 0; dst < sh.g.NumNodes(); dst++ {
+				want := refDijkstra(sh.g, c.cost, topo.NodeID(dst))
+				for from, w := range want {
+					got := tab.Distance(topo.NodeID(from), topo.NodeID(dst))
+					if math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s/%s: dist %d→%d = %v, want %v", sh.name, c.name, from, dst, got, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -70,9 +70,6 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events waiting in the future event list.
-func (e *Engine) Pending() int { return e.queue.len() }
-
 // SetEventLimit installs a safety cap on the number of executed events.
 // Run returns an error when the cap is reached. Zero removes the cap.
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvent = n }

@@ -212,9 +212,6 @@ func (s *Switch) Config() Config { return s.cfg }
 // Stats returns the instrument block.
 func (s *Switch) Stats() *Stats { return &s.stats }
 
-// Buffered returns the total frames currently queued.
-func (s *Switch) Buffered() int { return s.buffered }
-
 // Inject delivers a frame to input port at the moment it becomes available
 // to the switching logic (the fabric schedules this per the forwarding
 // mode: header arrival for cut-through, tail arrival for store-and-
@@ -281,9 +278,6 @@ func (s *Switch) SetOutputPaused(port int, paused bool) {
 
 // WatchdogTrips counts forced pause releases (deadlock-breaker activity).
 func (s *Switch) WatchdogTrips() int { return s.watchdogs }
-
-// OutputBusy reports whether port is currently serializing a frame.
-func (s *Switch) OutputBusy(port int) bool { return s.outBusy[port] }
 
 // tryGrant runs the arbiter for one output: find the next input (round
 // robin from the output's pointer) whose head-of-line frame for this output

@@ -53,9 +53,6 @@ func NewSeries(intervalPs int64, maxWindows int) *Series {
 	return &Series{interval: intervalPs, maxWindows: maxWindows}
 }
 
-// Interval returns the window width in picoseconds.
-func (s *Series) Interval() int64 { return s.interval }
-
 // Evicted returns how many closed windows fell off the retention bound.
 func (s *Series) Evicted() int64 { return s.evicted }
 
@@ -80,8 +77,17 @@ func (s *Series) Observe(atPs int64, v float64) {
 		}
 	}
 	if len(s.windows) == s.maxWindows {
-		copy(s.windows, s.windows[1:])
-		s.windows = s.windows[:s.maxWindows-1]
+		// Slide the view forward instead of shifting every retained window
+		// down. Once the backing array has no spare slot past the view,
+		// compact into a fresh one with maxWindows spare slots, so the copy
+		// is amortized O(1) per new window.
+		if cap(s.windows) > len(s.windows) {
+			s.windows = s.windows[1:]
+		} else {
+			fresh := make([]Window, s.maxWindows-1, 2*s.maxWindows)
+			copy(fresh, s.windows[1:])
+			s.windows = fresh
+		}
 		s.evicted++
 	}
 	s.windows = append(s.windows, Window{

@@ -1,6 +1,11 @@
 package telemetry
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestSeriesFoldsIntoWindows(t *testing.T) {
 	s := NewSeries(1000, 8)
@@ -47,6 +52,68 @@ func TestSeriesEvictsOldest(t *testing.T) {
 	wins := s.Windows()
 	if len(wins) != 3 || wins[0].Index != 2 || wins[2].Index != 4 {
 		t.Fatalf("retained windows = %+v", wins)
+	}
+}
+
+// naiveSeries is the reference eviction: shift every retained window down
+// by one whenever a new window arrives at the bound.
+type naiveSeries struct {
+	interval, max int64
+	windows       []Window
+	evicted       int64
+}
+
+func (s *naiveSeries) observe(atPs int64, v float64) {
+	idx := atPs / s.interval
+	if n := len(s.windows); n > 0 && idx <= s.windows[n-1].Index {
+		last := &s.windows[n-1]
+		last.Count++
+		last.Sum += v
+		last.Min = math.Min(last.Min, v)
+		last.Max = math.Max(last.Max, v)
+		last.Last = v
+		return
+	}
+	if int64(len(s.windows)) == s.max {
+		copy(s.windows, s.windows[1:])
+		s.windows = s.windows[:s.max-1]
+		s.evicted++
+	}
+	s.windows = append(s.windows, Window{Index: idx, Count: 1, Sum: v, Min: v, Max: v, Last: v})
+}
+
+// TestSeriesEvictionMatchesNaive drives a series through more than three
+// times its retention bound — several backing-array compactions — with
+// gaps, same-window folds and stragglers, and after every observation
+// demands the same windows and eviction count as the shift-down reference.
+func TestSeriesEvictionMatchesNaive(t *testing.T) {
+	for _, max := range []int{1, 2, 3, 7} {
+		s := NewSeries(10, max)
+		ref := &naiveSeries{interval: 10, max: int64(max)}
+		rng := rand.New(rand.NewSource(int64(max)))
+		at := int64(0)
+		for i := 0; i < 40*max; i++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				at += 10 * int64(1+rng.Intn(3)) // new window, maybe after a gap
+			case r < 8:
+				at += int64(rng.Intn(3)) // likely the same window
+			}
+			obs := at
+			if rng.Intn(6) == 0 {
+				obs = at - 10*int64(1+rng.Intn(2*max+1)) // straggler
+			}
+			v := float64(rng.Intn(100))
+			s.Observe(obs, v)
+			ref.observe(obs, v)
+			if !reflect.DeepEqual(s.Windows(), ref.windows) || s.Evicted() != ref.evicted {
+				t.Fatalf("max %d step %d: windows %+v evicted %d, want %+v evicted %d",
+					max, i, s.Windows(), s.Evicted(), ref.windows, ref.evicted)
+			}
+		}
+		if ref.evicted < int64(3*max) {
+			t.Fatalf("max %d: only %d evictions — walk too short", max, ref.evicted)
+		}
 	}
 }
 
