@@ -37,6 +37,33 @@ func TestProfileByName(t *testing.T) {
 	}
 }
 
+// TestLadderSharedAndCopied pins the ladder's build-once contract: every
+// call shares the same codes, a caller editing its slice cannot alter the
+// table, and the shared RS codes — built during package initialization —
+// still correct errors, so the GF(2^8) tables were ready before them.
+func TestLadderSharedAndCopied(t *testing.T) {
+	l := Ladder()
+	l[0] = Profile{}
+	if got := Ladder()[0].Name(); got != "none" {
+		t.Fatalf("editing a returned ladder changed the table: ladder[0] = %q", got)
+	}
+	p, _ := ProfileByName("rs(255,223)")
+	if p.Code != l[3].Code {
+		t.Fatal("ProfileByName and Ladder hold different rs(255,223) instances")
+	}
+	data := make([]byte, p.Code.DataLen())
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	block := p.Code.Encode(nil, data)
+	block[3] ^= 0x5a
+	block[100] ^= 0x01
+	got, corrected, err := p.Code.Decode(block)
+	if err != nil || corrected != 2 || string(got) != string(data) {
+		t.Fatalf("shared rs(255,223) decode: corrected %d, err %v, payload intact %v", corrected, err, string(got) == string(data))
+	}
+}
+
 func TestAdaptiveEscalatesWithBER(t *testing.T) {
 	a := NewAdaptive(1e-9)
 	const frameBits = 12000

@@ -103,24 +103,29 @@ func (p Profile) Overhead() float64 {
 // EffectiveRate converts a raw lane rate into post-FEC goodput.
 func (p Profile) EffectiveRate(raw float64) float64 { return raw / p.Overhead() }
 
+// ladder is the standard profile ladder, built once: its codes are
+// immutable, so every caller shares their generator polynomials.
+var ladder = []Profile{
+	{Code: NewNone(239), Latency: 0, PowerW: 0},
+	{Code: NewHamming7264(), Latency: 15 * sim.Nanosecond, PowerW: 0.10},
+	{Code: MustRS(255, 239), Latency: 60 * sim.Nanosecond, PowerW: 0.30},
+	{Code: MustRS(255, 223), Latency: 110 * sim.Nanosecond, PowerW: 0.45},
+}
+
 // Ladder returns the standard profile ladder ordered by increasing added
 // latency and correction strength: none, SECDED, RS t=8, RS t=16. The
 // adaptive controller walks this ladder and picks the first profile whose
 // predicted post-FEC loss meets the target, i.e. it minimizes pipeline
 // latency subject to the reliability constraint — the same objective the
 // paper's CRC optimizes ("improve the target metric, e.g. latency").
+// The slice is a fresh copy; the codes it holds are shared.
 func Ladder() []Profile {
-	return []Profile{
-		{Code: NewNone(239), Latency: 0, PowerW: 0},
-		{Code: NewHamming7264(), Latency: 15 * sim.Nanosecond, PowerW: 0.10},
-		{Code: MustRS(255, 239), Latency: 60 * sim.Nanosecond, PowerW: 0.30},
-		{Code: MustRS(255, 223), Latency: 110 * sim.Nanosecond, PowerW: 0.45},
-	}
+	return append([]Profile(nil), ladder...)
 }
 
 // ProfileByName finds a ladder profile; it reports ok=false when absent.
 func ProfileByName(name string) (Profile, bool) {
-	for _, p := range Ladder() {
+	for _, p := range ladder {
 		if p.Name() == name {
 			return p, true
 		}

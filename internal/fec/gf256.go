@@ -6,25 +6,26 @@ package fec
 
 const gfPoly = 0x11d
 
-var (
-	gfExp [512]byte
-	gfLog [256]int
-)
+// The tables are built by a variable initializer, not init(), so that
+// package-level values which construct codes (the profile ladder) are
+// ordered after them.
+var gfExp, gfLog = gfTables()
 
-func init() {
+func gfTables() (exp [512]byte, log [256]int) {
 	x := 1
 	for i := 0; i < 255; i++ {
-		gfExp[i] = byte(x)
-		gfLog[x] = i
+		exp[i] = byte(x)
+		log[x] = i
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= gfPoly
 		}
 	}
 	for i := 255; i < 512; i++ {
-		gfExp[i] = gfExp[i-255]
+		exp[i] = exp[i-255]
 	}
-	gfLog[0] = -1 // log(0) is undefined; callers must special-case zero.
+	log[0] = -1 // log(0) is undefined; callers must special-case zero.
+	return exp, log
 }
 
 // gfAdd returns a+b in GF(2^8) (XOR; subtraction is identical).

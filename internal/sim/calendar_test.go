@@ -9,10 +9,12 @@ import (
 // previous future-event list, kept as the reference implementation) and
 // the calendar queue side by side over fuzzer-driven schedule / cancel /
 // limited-pop sequences — same-tick bursts, near-term rolling windows,
-// far-future outliers that force the sparse fallback, and floods that
-// force wheel resizes — and asserts the two pop byte-identical (at, seq)
-// sequences. (at, seq) is a unique total order, so identical sequences
-// mean identical event ordering in every model run.
+// far-future outliers that force the sparse fallback, floods that force
+// wheel resizes, and a bimodal phase (a dense window whose spacing shifts,
+// next to far timers that are cancelled and re-armed) that forces
+// cost-triggered recalibrations — and asserts the two pop byte-identical
+// (at, seq) sequences. (at, seq) is a unique total order, so identical
+// sequences mean identical event ordering in every model run.
 func TestCalendarHeapByteIdentical(t *testing.T) {
 	// -short (the race pass) keeps the differential but trims the seed ×
 	// ops budget: race instrumentation multiplies the cost ~10x and three
@@ -125,11 +127,101 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 			pop(limit)
 		}
 	}
-	for heap.len() > 0 {
-		pop(Forever)
+	drain := func() {
+		for heap.len() > 0 {
+			pop(Forever)
+		}
+		if cal.len() != 0 {
+			t.Fatalf("seed %d: heap drained but calendar still holds %d events", seed, cal.len())
+		}
 	}
-	if cal.len() != 0 {
-		t.Fatalf("seed %d: heap drained but calendar still holds %d events", seed, cal.len())
+	drain()
+
+	// Bimodal phase: a rolling window of ~500 near-term events next to
+	// 100 timers ~100 µs out, one of them cancelled and re-armed every few
+	// pops the way host RTOs are. The window's spacing shifts between
+	// 1 ns, 50 ps and 20 ns, so the width must be re-derived at a constant
+	// bucket count: cost-triggered recalibration.
+	timers := make([]uint64, 100)
+	arm := func(k int) {
+		timers[k] = seq
+		schedule(now + Time(100_000_000+rng.Int63n(10_000_000)))
+	}
+	for k := range timers {
+		arm(k)
+	}
+	spacing := []Time{1000, 50, 20_000}
+	for i := 0; i < 500; i++ {
+		schedule(now + Time(i)*spacing[0])
+	}
+	recals := uint64(0)
+	for op := 0; op < 2*ops; op++ {
+		size, resizes := len(cal.buckets), cal.stats.Resizes
+		pop(Forever)
+		if cal.stats.Resizes > resizes && len(cal.buckets) == size {
+			recals++
+		}
+		schedule(now + 500*spacing[op/(ops/2)%len(spacing)] + Time(rng.Int63n(1000)))
+		if op%4 == 0 {
+			k := rng.Intn(len(timers))
+			if i, ok := slot[timers[k]]; ok {
+				p := live[i]
+				heap.remove(p.h.index)
+				cal.unlink(p.c)
+				dropLive(i)
+			}
+			arm(k)
+		}
+	}
+	drain()
+	if recals == 0 {
+		t.Fatalf("seed %d: the bimodal phase never recalibrated the width", seed)
+	}
+}
+
+// TestCalendarBimodalScanBound pins O(1) queue work in the regime packet
+// models run in: a rolling window of ~500 events ~1 ns apart next to ~100
+// retransmit timers ~100 µs out that are cancelled and re-armed. A width
+// sized from the whole pending span (the timers) crowds dozens of
+// near-term events into each day; the earliest-gap width keeps a pop's
+// scan and a cancel's bucket walk a few entries long. The counts are
+// deterministic, so the bound holds on any host.
+func TestCalendarBimodalScanBound(t *testing.T) {
+	const window, timers, pops = 500, 100, 200_000
+	rng := rand.New(rand.NewSource(1))
+	e := New()
+	nop := func() {}
+	for i := 0; i < window; i++ {
+		e.After(Duration(i+1)*Nanosecond, "near", nop)
+	}
+	rto := make([]Event, timers)
+	arm := func(k int) {
+		rto[k] = e.After(100*Microsecond+Duration(rng.Int63n(int64(10*Microsecond))), "rto", nop)
+	}
+	for k := range rto {
+		arm(k)
+	}
+	cancels := 0
+	for i := 0; i < pops; i++ {
+		e.Step()
+		e.After(window*Nanosecond+Duration(rng.Int63n(1000)), "near", nop)
+		if i%4 == 0 {
+			k := rng.Intn(timers)
+			e.Cancel(rto[k])
+			cancels++
+			arm(k)
+		}
+	}
+	s := e.QueueStats()
+	visits := float64(s.Visits) / float64(s.Pops)
+	walk := float64(s.UnlinkSteps) / float64(cancels)
+	t.Logf("%d pops: %.2f entries visited per pop; %d cancels: %.2f unlink steps each; %d resizes, %d whole-wheel scans",
+		s.Pops, visits, cancels, walk, s.Resizes, s.MinScans)
+	if visits > 4 {
+		t.Errorf("pops visit %.2f bucket entries each, want ≤ 4", visits)
+	}
+	if walk > 2 {
+		t.Errorf("cancels walk %.2f bucket entries each, want ≤ 2", walk)
 	}
 }
 
@@ -221,7 +313,7 @@ func TestCalendarStaleCancelIsNoOp(t *testing.T) {
 // TestCalendarSteadyStateZeroAlloc proves the calendar's schedule→fire and
 // schedule→cancel paths allocate nothing once warm, including when
 // consecutive events land in fresh day buckets as the clock advances
-// around the wheel.
+// around the wheel and when the cost trigger re-derives the width.
 func TestCalendarSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
 	nop := func() {}
@@ -241,6 +333,23 @@ func TestCalendarSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state schedule/cancel allocates %.2f objects per op, want 0", allocs)
+	}
+	// The window packs 20× denser next to a re-armed far timer, so the
+	// width sized for 1 ns gaps crowds each day and the cost trigger
+	// recalibrates it in place — without allocating either.
+	rto := e.After(100*Microsecond, "rto", nop)
+	resizes := e.QueueStats().Resizes
+	allocs = testing.AllocsPerRun(2000, func() {
+		e.After(window*50, "dense", nop)
+		e.Step()
+		e.Cancel(rto)
+		rto = e.After(100*Microsecond, "rto", nop)
+	})
+	if allocs > 0 {
+		t.Fatalf("schedule/fire across recalibrations allocates %.2f objects per op, want 0", allocs)
+	}
+	if e.QueueStats().Resizes == resizes {
+		t.Fatal("test premise broken: the denser window never recalibrated the width")
 	}
 }
 

@@ -70,6 +70,14 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// QueueStats returns the future-event list's cumulative work counters.
+// Every executed event is one pop, so Pops is the executed count.
+func (e *Engine) QueueStats() QueueStats {
+	s := e.queue.stats
+	s.Pops = e.executed
+	return s
+}
+
 // SetEventLimit installs a safety cap on the number of executed events.
 // Run returns an error when the cap is reached. Zero removes the cap.
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvent = n }

@@ -168,6 +168,39 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineScheduleBimodal is the pending-set shape of a loaded
+// packet model: a rolling window of 512 events 1 ns apart next to 64
+// retransmit timers 100–163 µs out, one cancelled and re-armed every
+// eighth iteration the way host RTOs are. Filling it grows the wheel, and
+// a day width sized from the whole pending span (the timers) would crowd
+// the window into a few days and make every pop walk them.
+func BenchmarkEngineScheduleBimodal(b *testing.B) {
+	e := New()
+	nop := func() {}
+	const window, timers = 512, 64
+	for i := 0; i < window; i++ {
+		e.After(Duration(i+1)*Nanosecond, "fill", nop)
+	}
+	rto := make([]Event, timers)
+	arm := func(k int) {
+		rto[k] = e.After(100*Microsecond+Duration(k)*Microsecond, "rto", nop)
+	}
+	for k := range rto {
+		arm(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(window*Nanosecond, "bench", nop)
+		e.Step()
+		if i%8 == 0 {
+			k := i / 8 % timers
+			e.Cancel(rto[k])
+			arm(k)
+		}
+	}
+}
+
 // BenchmarkEngineScheduleCancel measures the schedule→cancel path, the
 // other half of the free-list churn (timeouts that almost never fire).
 func BenchmarkEngineScheduleCancel(b *testing.B) {

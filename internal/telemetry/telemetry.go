@@ -88,37 +88,3 @@ func (e *EWMA) Primed() bool { return e.primed }
 
 // Reset forgets all history.
 func (e *EWMA) Reset() { e.value = 0; e.primed = false }
-
-// RateEstimator converts a monotone byte/bit count into a windowed rate.
-// The Closed Ring Control uses it for "effective bandwidth" per lane.
-type RateEstimator struct {
-	ewma      *EWMA
-	lastCount int64
-	lastAt    int64 // picoseconds
-	started   bool
-}
-
-// NewRateEstimator returns a rate estimator smoothing with weight alpha.
-func NewRateEstimator(alpha float64) *RateEstimator {
-	return &RateEstimator{ewma: NewEWMA(alpha)}
-}
-
-// Sample records that the cumulative count was count at time atPs.
-// It returns the current rate estimate in count-units per second.
-func (r *RateEstimator) Sample(count int64, atPs int64) float64 {
-	if !r.started {
-		r.lastCount, r.lastAt, r.started = count, atPs, true
-		return 0
-	}
-	dt := atPs - r.lastAt
-	if dt <= 0 {
-		return r.ewma.Value()
-	}
-	rate := float64(count-r.lastCount) / (float64(dt) * 1e-12)
-	r.lastCount, r.lastAt = count, atPs
-	r.ewma.Observe(rate)
-	return r.ewma.Value()
-}
-
-// Value returns the current rate estimate in count-units per second.
-func (r *RateEstimator) Value() float64 { return r.ewma.Value() }

@@ -79,20 +79,6 @@ func TestEWMABadAlphaPanics(t *testing.T) {
 	}
 }
 
-func TestRateEstimator(t *testing.T) {
-	r := NewRateEstimator(1.0) // no smoothing: exact window rates
-	r.Sample(0, 0)
-	// 1000 bits over 1 µs = 1e9 bits/s.
-	got := r.Sample(1000, 1_000_000)
-	if math.Abs(got-1e9) > 1 {
-		t.Fatalf("rate = %v, want 1e9", got)
-	}
-	// Same timestamp: no divide-by-zero, value unchanged.
-	if v := r.Sample(2000, 1_000_000); v != got {
-		t.Fatalf("zero-dt sample changed rate to %v", v)
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("frames.sent")
