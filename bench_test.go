@@ -144,7 +144,11 @@ func BenchmarkIncast64(b *testing.B) {
 			b.Fatal(err)
 		}
 		cluster.SetValiantRouting(true)
-		if _, err := cluster.Inject(rackfab.IncastTraffic(cluster, 32, 16, 128<<10)); err != nil {
+		specs, err := rackfab.IncastTraffic(cluster, 32, 16, 128<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cluster.Inject(specs); err != nil {
 			b.Fatal(err)
 		}
 		if err := cluster.RunUntilDone(10 * time.Second); err != nil {

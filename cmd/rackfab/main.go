@@ -8,6 +8,7 @@
 //	rackfab -csv out.csv e5      # also write CSV
 //	rackfab -parallel 8 e8       # fan independent trials over 8 workers
 //	rackfab all                  # run everything
+//	rackfab -cpuprofile cpu.prof -scale quick e10   # profile a run
 package main
 
 import (
@@ -15,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"rackfab"
@@ -22,6 +25,12 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run is the whole command; it returns the exit status so the deferred
+// profile writers run before the process exits.
+func run() (code int) {
 	scaleFlag := flag.String("scale", "full", "experiment sizing: quick or full")
 	csvPath := flag.String("csv", "", "also write the table(s) as CSV to this path")
 	plotFlag := flag.Bool("plot", false, "render figures as ASCII charts where available")
@@ -29,12 +38,31 @@ func main() {
 	tracePath := flag.String("trace", "", "write the flight-recorder trace to this path: Perfetto-loadable Chrome JSON, or the stable text form for .txt paths (facade-driven trials only; byte-identical at any -parallel)")
 	expFlag := flag.String("experiment", "", "experiment ID to run (equivalent to the positional form)")
 	engineFlag := flag.String("engine", "", "simulation backend: packet or fluid (sim: selects the cluster engine; experiments: validates/filters by the experiment's engine)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the run, to this path")
 	flag.Usage = usage
 	flag.Parse()
 
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rackfab: cpuprofile: %v\n", err)
+			return 1
+		}
+		defer stop()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProfile); err != nil {
+				fmt.Fprintf(os.Stderr, "rackfab: memprofile: %v\n", err)
+				code = 1
+			}
+		}()
+	}
+
 	if flag.NArg() < 1 && *expFlag == "" {
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	var scale experiment.Scale
 	switch *scaleFlag {
@@ -44,13 +72,13 @@ func main() {
 		scale = experiment.Full
 	default:
 		fmt.Fprintf(os.Stderr, "rackfab: unknown scale %q (want quick or full)\n", *scaleFlag)
-		os.Exit(2)
+		return 2
 	}
 	switch *engineFlag {
 	case "", "packet", "fluid":
 	default:
 		fmt.Fprintf(os.Stderr, "rackfab: unknown engine %q (want packet or fluid)\n", *engineFlag)
-		os.Exit(2)
+		return 2
 	}
 	cfg := experiment.Config{Scale: scale, Parallel: *parallel}
 	if *tracePath != "" {
@@ -70,20 +98,20 @@ func main() {
 	case "sim":
 		if err := runSim(rest, *engineFlag, *tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: sim: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	case "serve":
 		if err := runServe(rest, *engineFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: serve: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	case "list":
 		for _, line := range experiment.List() {
 			fmt.Println(line)
 		}
-		return
+		return 0
 	case "all":
 		for _, id := range experiment.IDs() {
 			// "both"-engine experiments survive either filter.
@@ -92,29 +120,30 @@ func main() {
 			}
 			if err := runOne(id, cfg, *csvPath, *plotFlag); err != nil {
 				fmt.Fprintf(os.Stderr, "rackfab: %s: %v\n", id, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Println()
 		}
 		if err := writeTraceSet(*tracePath, cfg.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	default:
 		if eng, ok := experiment.EngineOf(arg); ok && *engineFlag != "" && eng != *engineFlag && eng != "both" {
 			fmt.Fprintf(os.Stderr, "rackfab: %s runs on the %s engine, not %s (see `rackfab list`)\n", arg, eng, *engineFlag)
-			os.Exit(2)
+			return 2
 		}
 		if err := runOne(arg, cfg, *csvPath, *plotFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: %s: %v\n", arg, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := writeTraceSet(*tracePath, cfg.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeTraceSet exports an experiment run's collected flight-recorder
@@ -184,7 +213,7 @@ func runOne(id string, cfg experiment.Config, csvPath string, plot bool) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: rackfab [-scale quick|full] [-parallel N] [-engine packet|fluid] [-csv path] <experiment|list|all>
+	fmt.Fprintf(os.Stderr, `usage: rackfab [-scale quick|full] [-parallel N] [-engine packet|fluid] [-csv path] [-cpuprofile f] [-memprofile f] <experiment|list|all>
        rackfab -experiment <id> [flags]
        rackfab sim [-topo grid] [-width 4] [-height 4] [-workload uniform] …
        rackfab serve [-width 16] [-rate 50] [-duration 10m] [-checkpoint-at T -checkpoint-out f] [-restore f] …
@@ -198,9 +227,46 @@ cluster engine (packet = cycle-accurate datapath, fluid = flow-level
 solver for large topologies); for an experiment it validates against
 the experiment's engine, and for `+"`all`"+` it filters the sweep.
 
+-cpuprofile and -memprofile write pprof profiles of the run (any
+subcommand); read them with `+"`go tool pprof -top <file>`"+`.
+
 experiments:
 `)
 	for _, line := range experiment.List() {
 		fmt.Fprintf(os.Stderr, "  %s\n", line)
 	}
+}
+
+// startCPUProfile starts CPU profiling into path and returns the function
+// that stops it and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "rackfab: cpuprofile: %v\n", err)
+		}
+	}, nil
+}
+
+// writeHeapProfile writes the live-heap profile to path after a GC, so it
+// shows what the run retained rather than garbage awaiting collection.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -137,13 +137,16 @@ func runSim(args []string, engine, flightTrace string) error {
 		case "shuffle":
 			specs = rackfab.ShuffleTraffic(cluster, *size)
 		case "incast":
-			specs = rackfab.IncastTraffic(cluster, cluster.Nodes()-1, cluster.Nodes()/2, *size)
+			specs, err = rackfab.IncastTraffic(cluster, cluster.Nodes()-1, cluster.Nodes()/2, *size)
 		case "hotspot":
-			specs = rackfab.HotspotTraffic(cluster, *flows, 2, 0.7, *size)
+			specs, err = rackfab.HotspotTraffic(cluster, *flows, 2, 0.7, *size)
 		case "permutation":
 			specs = rackfab.PermutationTraffic(cluster, *size)
 		default:
 			return fmt.Errorf("unknown workload %q", *pattern)
+		}
+		if err != nil {
+			return err
 		}
 		fmt.Printf("workload: %s, %d flows\n", *pattern, len(specs))
 	}

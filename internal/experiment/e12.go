@@ -46,7 +46,10 @@ func e12Incast(engine rackfab.Engine, mode string, side int, k float64, tr *rack
 		return e12Cell{}, err
 	}
 	const fanIn = 16
-	specs := rackfab.IncastTraffic(c, side*side/2, fanIn, 128<<10)
+	specs, err := rackfab.IncastTraffic(c, side*side/2, fanIn, 128<<10)
+	if err != nil {
+		return e12Cell{}, err
+	}
 	switch mode {
 	case "sp", "fair":
 		// Default routing; "fair" names the fluid engine's max-min share.

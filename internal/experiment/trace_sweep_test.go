@@ -29,7 +29,11 @@ func TestSweepTraceSetByteIdenticalAcrossWorkers(t *testing.T) {
 				if err != nil {
 					return 0, err
 				}
-				if _, err := c.Inject(rackfab.IncastTraffic(c, 5, 8, 16<<10)); err != nil {
+				specs, err := rackfab.IncastTraffic(c, 5, 8, 16<<10)
+				if err != nil {
+					return 0, err
+				}
+				if _, err := c.Inject(specs); err != nil {
 					return 0, err
 				}
 				if err := c.RunUntilDone(10 * time.Second); err != nil {

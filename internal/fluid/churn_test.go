@@ -448,7 +448,7 @@ func TestSolverMetricsExposed(t *testing.T) {
 	if got, want := int64(snap["fluid.warm_hits"]), res.Solver.WarmHits; got != want {
 		t.Fatalf("registry warm_hits = %d, result says %d", got, want)
 	}
-	fills := res.Solver.WarmHits + res.Solver.WarmFallbacks + res.Solver.ColdFills
+	fills := res.Solver.Fills()
 	if fills == 0 {
 		t.Fatal("no fills counted")
 	}

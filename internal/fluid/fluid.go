@@ -83,11 +83,16 @@ type SolverStats struct {
 	ColdFills     int64
 }
 
+// Fills returns the number of refills run, whatever their outcome.
+func (s SolverStats) Fills() int64 {
+	return s.WarmHits + s.WarmFallbacks + s.ColdFills
+}
+
 // WarmHitPct returns the warm-start hit rate as a percentage of all fills
 // (0 when no fills ran) — the one definition every summary column and
 // telemetry reader shares.
 func (s SolverStats) WarmHitPct() float64 {
-	total := s.WarmHits + s.WarmFallbacks + s.ColdFills
+	total := s.Fills()
 	if total == 0 {
 		return 0
 	}

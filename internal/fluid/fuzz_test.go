@@ -21,6 +21,11 @@ import (
 //     from-zero re-solve's bit for bit, and the two engines' completion
 //     schedules never diverge (churnEngines compares nextDone each event).
 //
+// The walk runs twice: once one arrival at a time, once with same-instant
+// arrival bursts that the warm engine takes as one batch and the cold
+// engine one flow at a time, so (2) also holds batch ≡ sequential arrival,
+// bursts onto dead and rerouted paths included.
+//
 // On top of the stepwise engines, the whole scenario runs through Run twice
 // (warm and cold) and must fingerprint identically — first fault-free, then
 // under a Poisson link-flap schedule that exercises mid-run rerouting,
@@ -69,7 +74,7 @@ func FuzzSolverMaxMin(f *testing.F) {
 			specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Bytes: bytes})
 		}
 
-		churnEngines(t, g, specs, rng, true, func(warm, cold *engine) {
+		sameRates := func(warm, cold *engine) {
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
 				if w != c {
@@ -77,7 +82,11 @@ func FuzzSolverMaxMin(f *testing.F) {
 				}
 			}
 			checkMaxMin(t, warm)
-		})
+		}
+		churnEngines(t, g, specs, rng, churnOps{faults: true}, sameRates)
+		// The same walk shape with same-instant arrival bursts, from an RNG
+		// of its own so the draws below match the burst-free walk's.
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("bursts"), churnOps{faults: true, bursts: true}, sameRates)
 
 		for i := range specs {
 			specs[i].At = sim.Time(rng.Intn(200)) * sim.Time(sim.Microsecond)

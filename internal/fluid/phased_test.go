@@ -152,12 +152,14 @@ func TestPhasedSessionRejectsBadShapes(t *testing.T) {
 // via the seq tie-break) and replays warm — zero fallbacks through the
 // merge, never a ColdFill. The pre-merge arrivals also replay warm: an
 // empty-oracle fill is the trivial schedule, driven entirely by the live
-// seed-link minimum with the newcomer absorbed.
+// seed-link minimum with the newcomer absorbed. A and B arrive at distinct
+// instants so the two parts are stamped by different fills — same-instant
+// arrivals would share one fill (TestSameInstantPartsShareOneFill).
 func TestMergeFallbackFillOnce(t *testing.T) {
 	g := topo.NewLine(7, topo.Options{})
 	specs := []workload.FlowSpec{
 		{Src: 0, Dst: 1, Bytes: 1e6, At: 0, Label: "A"},
-		{Src: 5, Dst: 6, Bytes: 2e6, At: 0, Label: "B"},
+		{Src: 5, Dst: 6, Bytes: 2e6, At: 500 * sim.Time(sim.Nanosecond), Label: "B"},
 		// C spans the whole line, merging A's and B's disjoint components.
 		{Src: 0, Dst: 6, Bytes: 1e6, At: 1 * sim.Time(sim.Microsecond), Label: "C"},
 	}
@@ -177,7 +179,7 @@ func TestMergeFallbackFillOnce(t *testing.T) {
 	// C's arrival merges the two components. Their oracle entries carry two
 	// different fill stamps, but each part's levels ascend in its own freeze
 	// order, so the rate-sorted union is a valid merged schedule; A and B —
-	// suspects whose every link is on C's (seed) path — are absorbed at the
+	// flows whose every link is on C's (seed) path — are absorbed at the
 	// new shared level rather than killing the schedule. Zero fallbacks.
 	if err := s.Advance(1 * sim.Time(sim.Microsecond)); err != nil {
 		t.Fatal(err)
@@ -204,6 +206,30 @@ func TestMergeFallbackFillOnce(t *testing.T) {
 	// (counted as neither).
 	if want := (SolverStats{WarmHits: 4, WarmFallbacks: 1}); fin != want {
 		t.Errorf("final solver stats = %+v, want %+v", fin, want)
+	}
+}
+
+// TestSameInstantPartsShareOneFill is TestMergeFallbackFillOnce's sibling
+// with A and B at one instant: their disjoint components arrive as one
+// batch and cost exactly one fill.
+func TestSameInstantPartsShareOneFill(t *testing.T) {
+	g := topo.NewLine(7, topo.Options{})
+	specs := []workload.FlowSpec{
+		{Src: 0, Dst: 1, Bytes: 1e6, At: 0, Label: "A"},
+		{Src: 5, Dst: 6, Bytes: 2e6, At: 0, Label: "B"},
+	}
+	s, err := NewSession(Config{Graph: g}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ActiveFlows(); got != 2 {
+		t.Fatalf("want A and B active, got %d active flows", got)
+	}
+	if fills := s.Snapshot().Solver.Fills(); fills != 1 {
+		t.Fatalf("A and B at one instant cost %d fills, want 1", fills)
 	}
 }
 

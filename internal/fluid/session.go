@@ -43,6 +43,10 @@ type Session struct {
 	// IDs) and reject Inject.
 	arrivalQ heapx.Heap[arrivalEntry]
 
+	// batch is the scratch list of flow IDs arriving at the current
+	// instant, in arrival order.
+	batch []int32
+
 	// idBase is the count of flows retired (prefix-compacted) so far:
 	// public flow ID = internal engine index + idBase. Handles returned
 	// before a Retire stay valid forever; the internal rebase is a uniform
@@ -357,17 +361,32 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 			en.applyLinkEventGroup(s.now, s.linkEvents[s.faulted:j])
 			s.faulted = j
 		case next == nextArrival && arriveFid >= 0:
-			if s.phaseEnd == nil {
-				s.arrivalQ.Pop()
+			// Every arrival due by now activates as one batch with one
+			// refill (see arriveBatch): the flows pending at this instant,
+			// plus any an Inject scheduled in the past. A phased batch stops
+			// at the phase boundary — the gate holds the next phase.
+			batch := s.batch[:0]
+			if s.phaseEnd != nil {
+				for end := s.phaseEnd[s.phase]; s.arrived < end &&
+					s.phaseBase.Add(sim.Duration(en.flows[s.arrived].spec.At)) <= s.now; s.arrived++ {
+					batch = append(batch, int32(s.arrived))
+				}
+			} else {
+				for s.arrivalQ.Len() > 0 && s.arrivalQ.Min().at <= s.now {
+					batch = append(batch, s.arrivalQ.Pop().fid)
+					s.arrived++
+				}
 			}
-			s.res.Events++
-			spec := en.flows[arriveFid].spec
-			en.trace.RecordFlow(trace.Event{
-				At: s.now, Kind: trace.FlowArrive,
-				Flow: s.publicID(arriveFid), Link: -1, Node: int32(spec.Src), Value: spec.Bytes,
-			})
-			en.arrive(arriveFid, s.now)
-			s.arrived++
+			s.batch = batch
+			for _, fid := range batch {
+				s.res.Events++
+				spec := en.flows[fid].spec
+				en.trace.RecordFlow(trace.Event{
+					At: s.now, Kind: trace.FlowArrive,
+					Flow: s.publicID(fid), Link: -1, Node: int32(spec.Src), Value: spec.Bytes,
+				})
+			}
+			en.arriveBatch(batch, s.now)
 		default:
 			s.res.Events++
 			fr := en.complete(doneID, s.now)
@@ -469,7 +488,6 @@ func (s *Session) Retire() int {
 	en.flows = en.flows[:n]
 	en.flowEpoch = append(en.flowEpoch[:0], en.flowEpoch[cut:]...)
 	en.frozenEpoch = append(en.frozenEpoch[:0], en.frozenEpoch[cut:]...)
-	en.suspect = append(en.suspect[:0], en.suspect[cut:]...)
 	s.status = append(s.status[:0], s.status[cut:]...)
 	s.idBase += cut
 	return cut

@@ -209,3 +209,120 @@ func TestSessionAdvanceIdlesPastCompletion(t *testing.T) {
 		t.Fatalf("AdvanceUntilDone idled the clock to %v", s2.Now())
 	}
 }
+
+// sequentialFills drives specs, all arriving at t=0, through a bare engine
+// one arrival at a time — every arrival its own refill, the shape a burst
+// took before arrivals were batched — and returns the fills the arrivals
+// and the completions cost. A non-empty down list is applied at t=0 first,
+// as a Session applies same-instant faults ahead of arrivals.
+func sequentialFills(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, down []faults.LinkEvent) (arrivals, completions int64) {
+	t.Helper()
+	en := newEngine(g, 450*sim.Nanosecond)
+	if err := en.addFlows(canonicalize(specs)); err != nil {
+		t.Fatal(err)
+	}
+	if len(down) > 0 {
+		en.applyLinkEventGroup(0, down)
+	}
+	for fid := range en.flows {
+		en.arrive(int32(fid), 0)
+	}
+	arrivals = en.stats.Fills()
+	for {
+		at, fid := en.nextDone()
+		if fid < 0 {
+			break
+		}
+		en.complete(fid, at)
+	}
+	return arrivals, en.stats.Fills() - arrivals
+}
+
+// TestBurstArrivalCostsOneFill is the host-independent work gate for
+// same-instant arrivals: a permutation burst of n flows on a 4×4 torus
+// costs exactly one arrival fill, so the run's fills are 1 + the
+// completion fills that one-at-a-time arrival also pays (where the
+// arrivals alone cost n). It holds fault-free and with a link of the burst
+// down at the burst instant, where flows re-path as they arrive.
+func TestBurstArrivalCostsOneFill(t *testing.T) {
+	specs := workload.Permutation(sim.NewRNG(41), 16, workload.Fixed(1e6))
+	for _, faulted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faulted=%v", faulted), func(t *testing.T) {
+			g := topo.NewTorus(4, 4, topo.Options{})
+			var down []faults.LinkEvent
+			cfg := Config{Graph: g}
+			if faulted {
+				// Down the first link of the first flow's path.
+				probe := newEngine(g, 450*sim.Nanosecond)
+				if err := probe.addFlows(canonicalize(specs)); err != nil {
+					t.Fatal(err)
+				}
+				li := int(probe.flows[0].links[0])
+				down = []faults.LinkEvent{{At: 0, Edge: li, Factor: 0}}
+				cfg.Faults = faults.New(faults.Event{At: 0, Target: li, Kind: faults.LinkDown})
+			}
+			arrivals, completions := sequentialFills(t, topo.NewTorus(4, 4, topo.Options{}), specs, down)
+			if arrivals != int64(len(specs)) || completions == 0 {
+				t.Fatalf("sequential reference: %d arrival fills for %d flows, %d completion fills", arrivals, len(specs), completions)
+			}
+
+			s, err := NewSession(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.RestoreGraph()
+			if err := s.Advance(0); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.ActiveFlows(); got != len(specs) {
+				t.Fatalf("%d flows active after the burst instant, want %d", got, len(specs))
+			}
+			if got := s.Snapshot().Solver.Fills(); got != 1 {
+				t.Fatalf("burst of %d flows cost %d fills, want 1", len(specs), got)
+			}
+			if err := s.AdvanceUntilDone(sim.Forever); err != nil {
+				t.Fatal(err)
+			}
+			snap := s.Snapshot()
+			if got, want := snap.Solver.Fills(), 1+completions; got != want {
+				t.Fatalf("run cost %d fills, want 1 burst + %d completion fills = %d", got, completions, want)
+			}
+			if faulted && (snap.Faults.CapacityEvents != 1 || snap.Faults.RouteRepairs == 0) {
+				t.Fatalf("fault at the burst instant not applied: %+v", snap.Faults)
+			}
+		})
+	}
+}
+
+// TestPhaseReleaseCostsOneFill: in a two-phase session each phase release
+// is one fill, so the run costs exactly what the two phases cost as
+// stand-alone bursts — 1 + completion fills each. A phase starts on an
+// idle fabric, so its dynamics are the stand-alone run's shifted in time.
+func TestPhaseReleaseCostsOneFill(t *testing.T) {
+	rng := sim.NewRNG(43)
+	phases := [][]workload.FlowSpec{
+		workload.Permutation(rng, 16, workload.Fixed(1e6)),
+		workload.Permutation(rng, 16, workload.Fixed(500e3)),
+	}
+	var want int64
+	for _, ph := range phases {
+		_, completions := sequentialFills(t, topo.NewTorus(4, 4, topo.Options{}), ph, nil)
+		want += 1 + completions
+	}
+	s, err := NewPhasedSession(Config{Graph: topo.NewTorus(4, 4, topo.Options{})}, phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot().Solver.Fills(); got != 1 {
+		t.Fatalf("first phase release cost %d fills, want 1", got)
+	}
+	if err := s.AdvanceUntilDone(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot().Solver.Fills(); got != want {
+		t.Fatalf("two-phase run cost %d fills, want %d (one per release plus each phase's completion fills)", got, want)
+	}
+}

@@ -33,6 +33,17 @@ type flowState struct {
 	fill      uint64   // ID of the fill that last froze this flow
 	active    bool
 
+	// undo is the settlement the first rate change at instant `settled`
+	// replaced. A later change back to undo.rate at that same instant
+	// restores it, so a rate excursion lasting zero time — an intermediate
+	// fill among several at one instant — leaves no rounding trace in
+	// remaining or finish: state depends on how rates moved over time,
+	// not on how many fills one instant took.
+	undo struct {
+		settled, finish sim.Time
+		remaining, rate float64
+	}
+
 	// starved marks an active flow pinned at rate 0 by a zero-capacity
 	// link on its path; starvedAt is when the episode began, for the
 	// recovery-time accounting the churn experiments report.
@@ -97,7 +108,7 @@ type engine struct {
 	edgeByIdx     []*topo.Edge
 	routesChanged bool
 	starvedNow    int
-	seedBuf       []int32 // reroute refill seed: old path ∪ new path
+	seedBuf       []int32 // refill seed: a reroute's old ∪ new path, an arrival batch's paths
 
 	// Fault-group scratch (applyLinkEventGroup): the instant's changed
 	// links (refill seed), admin-flipped edges (one RepairBatch), and
@@ -124,7 +135,6 @@ type engine struct {
 	linkEpoch   []uint32
 	flowEpoch   []uint32
 	frozenEpoch []uint32
-	suspect     []uint32 // flows on the perturbed path this fill
 	capLeft     []float64
 	unfrozen    []int32
 	alive       []int32
@@ -137,7 +147,7 @@ type engine struct {
 	// Round-closure state: tied is the worklist of links at exactly the
 	// round's bottleneck share; tieStamp dedupes enqueues per round.
 	// seedMark stamps the current fill's seed links (epoch-scoped) so the
-	// warm drain can recognize suspects confined to the perturbed path.
+	// warm drain can recognize flows confined to the perturbed path.
 	round    uint32
 	tieStamp []uint32
 	tied     []int32
@@ -214,7 +224,6 @@ func (en *engine) addFlows(specs []workload.FlowSpec) error {
 	en.flows = make([]flowState, len(specs))
 	en.flowEpoch = make([]uint32, len(specs))
 	en.frozenEpoch = make([]uint32, len(specs))
-	en.suspect = make([]uint32, len(specs))
 	if len(specs) > 0 && en.table == nil {
 		en.table = route.Build(en.graph, route.UniformCost)
 	}
@@ -261,39 +270,63 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 		en.flows = append(en.flows, fs)
 		en.flowEpoch = append(en.flowEpoch, 0)
 		en.frozenEpoch = append(en.frozenEpoch, 0)
-		en.suspect = append(en.suspect, 0)
 	}
 	return nil
 }
 
-// arrive activates flow fid at `now` and re-solves its component. After a
-// fault has changed routing, the path pre-computed by addFlows may be
-// stale: the flow re-paths against the repaired table, and if its
+// arriveBatch activates every flow of fids at `now` and re-solves the union
+// of their components with one refill. A max-min fill is a pure function of
+// the component's link capacities and link–flow incidence (the round
+// closure makes it independent of visit order), so the one union fill
+// leaves every flow at the bit-identical rate the last of len(fids)
+// sequential fills would have — the intermediate fills of a same-instant
+// burst were only ever overwritten. fids is in arrival order, which fixes
+// each link's flow-list order exactly as one-at-a-time arrival would, and
+// setRate's same-instant undo makes a bystander that intermediate fills
+// would have moved and restored end where it started, so completion
+// projections match one-at-a-time arrival to the picosecond as well.
+//
+// After a fault has changed routing, the path pre-computed by addFlows may
+// be stale: each flow re-paths against the repaired table, and if its
 // destination is currently unreachable it keeps the pre-fault path — every
-// such path crosses a dead link, so the flow parks at rate 0 until a
-// repair heals the partition (rescueStarved re-paths it then).
-func (en *engine) arrive(fid int32, now sim.Time) {
-	f := &en.flows[fid]
-	if en.routesChanged {
-		if links, ok := en.repath(fid); ok {
-			f.links = links
-			f.hops = len(links)
+// such path crosses a dead link, so the flow parks at rate 0 until a repair
+// heals the partition (rescueStarved re-paths it then).
+func (en *engine) arriveBatch(fids []int32, now sim.Time) {
+	seed := en.seedBuf[:0]
+	for _, fid := range fids {
+		f := &en.flows[fid]
+		if en.routesChanged {
+			if links, ok := en.repath(fid); ok {
+				f.links = links
+				f.hops = len(links)
+			}
 		}
+		f.active = true
+		f.start = now
+		f.settled = now
+		f.undo.settled = now // nothing before the arrival to restore
+		f.remaining = float64(f.spec.Bytes) * 8
+		f.rate = 0
+		en.activeCount++
+		for _, li := range f.links {
+			en.linkFlows[li] = append(en.linkFlows[li], fid)
+		}
+		seed = append(seed, f.links...)
 	}
-	f.active = true
-	f.start = now
-	f.settled = now
-	f.remaining = float64(f.spec.Bytes) * 8
-	f.rate = 0
-	en.activeCount++
-	for _, li := range f.links {
-		en.linkFlows[li] = append(en.linkFlows[li], fid)
+	en.seedBuf = seed
+	// Only a lone arrival is the warm replay's newcomer; a burst carries
+	// several rate-less flows, which the replay hands to the scan loop.
+	newcomer := int32(-1)
+	if len(fids) == 1 {
+		newcomer = fids[0]
 	}
-	en.refill(now, f.links, fid)
-	if f.rate == 0 {
-		// Arrived straight into a dead path: the refill froze it at zero,
-		// which setRate's transition tracking cannot see (0 → 0).
-		en.noteStarved(fid, now)
+	en.refill(now, seed, newcomer)
+	for _, fid := range fids {
+		if en.flows[fid].rate == 0 {
+			// Arrived straight into a dead path: the refill froze it at
+			// zero, which setRate's transition tracking cannot see (0 → 0).
+			en.noteStarved(fid, now)
+		}
 	}
 }
 
@@ -384,8 +417,9 @@ func (en *engine) component(seed []int32) {
 // floating-point operation of the fill — is independent of link visit
 // order: a pure function of component state.
 //
-// newcomer is the flow (≥ 0) whose arrival triggered this refill — the one
-// component flow with no previous rate. The warm path replays the previous
+// newcomer is the flow (≥ 0) whose lone arrival triggered this refill — the
+// one component flow with no previous rate — or −1 for completions, fault
+// repairs and multi-flow arrival bursts. The warm path replays the previous
 // allocation as the round schedule and falls back to the scan loop the
 // moment the perturbation deviates from it; see warmRounds.
 func (en *engine) refill(now sim.Time, seed []int32, newcomer int32) {
@@ -545,14 +579,16 @@ func (en *engine) freeze(fid int32, now sim.Time, best float64) {
 // coldRounds, skipping the per-round scan of every live component link:
 //
 //   - links off the seed path ("clean") evolve exactly as in their own
-//     last fill while rounds match, so the minimum share over them is the
-//     next old level and a scheduled flow touching no seed link freezes at
-//     its old rate unconditionally — no verification needed;
+//     last fill while rounds match, so none sits below the next old level.
+//     None need sit AT it, though: in the last fill a clean link may have
+//     reached the level only through the round's closure, pulled down by a
+//     flow freezing on a seed link the perturbation has since moved. So a
+//     scheduled flow freezes up front only when one of its links sits at
+//     the level at round start, exactly the links coldRounds would tie;
+//     the rest can still join through the closure;
 //   - seed links are perturbed (a flow arrived on or departed from them),
 //     so they are checked explicitly each round: their live minimum can
-//     undercut the schedule (then the round is seed-led) and flows on them
-//     ("suspects") may have lost their old bottleneck, so a suspect only
-//     freezes when one of its links actually sits at the level;
+//     undercut the schedule (then the round is seed-led);
 //   - the newcomer has no old rate and crosses only seed links; it freezes
 //     whenever a seed link carrying it reaches the round's level — the one
 //     off-schedule freeze the replay absorbs, since it perturbs no clean
@@ -629,16 +665,12 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 			return 1
 		})
 	}
-	// Suspects: flows crossing a seed link. Everything else in the schedule
-	// freezes at its old rate without per-flow checks. seedMark stamps the
-	// seed links themselves so the drain loop can tell a suspect confined
-	// entirely to the perturbed path — absorbable like the newcomer — from
-	// one whose rate change would invalidate a clean link's trajectory.
+	// seedMark stamps the seed links so the drain loop can tell a flow
+	// confined entirely to the perturbed path — absorbable like the
+	// newcomer — from one whose rate change would invalidate a clean link's
+	// trajectory.
 	for _, li := range seed {
 		en.seedMark[li] = en.epoch
-		for _, fid := range en.linkFlows[li] {
-			en.suspect[fid] = en.epoch
-		}
 	}
 
 	i := 0
@@ -684,24 +716,18 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 			}
 			// Decide every scheduled flow against round-START state before
 			// any freeze mutates it — coldRounds collects its tied set the
-			// same way. A suspect lost its old bottleneck if no link of its
-			// sits at the level now; it may still join the closure later.
+			// same way. A flow none of whose links sits at the level now
+			// lost (or never had) a bottleneck of its own there; it may
+			// still join the closure later.
 			en.passA = en.passA[:0]
 			for k := i; k < j; k++ {
 				fid := lv[k].fid
-				if en.suspect[fid] == en.epoch {
-					tied := false
-					for _, li := range en.flows[fid].links {
-						if en.capLeft[li]/float64(en.unfrozen[li]) == b {
-							tied = true
-							break
-						}
-					}
-					if !tied {
-						continue
+				for _, li := range en.flows[fid].links {
+					if en.capLeft[li]/float64(en.unfrozen[li]) == b {
+						en.passA = append(en.passA, fid)
+						break
 					}
 				}
-				en.passA = append(en.passA, fid)
 			}
 			for _, fid := range en.passA {
 				if en.frozenEpoch[fid] == en.epoch {
@@ -761,7 +787,8 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 // completion-heap entry. An unchanged rate is a no-op: the flow's projected
 // finish instant is invariant under settlement, so the existing heap entry
 // stays valid and the heap only grows where the perturbation actually
-// changed something.
+// changed something. A change back to the rate the flow held before this
+// instant restores its pre-instant settlement (see flowState.undo).
 func (en *engine) setRate(fid int32, now sim.Time, rate float64) {
 	f := &en.flows[fid]
 	if rate == f.rate {
@@ -770,7 +797,15 @@ func (en *engine) setRate(fid int32, now sim.Time, rate float64) {
 	if rate == 0 && f.rate > 0 {
 		en.noteStarved(fid, now)
 	}
-	f.settle(now)
+	restored := false
+	if now > f.settled {
+		f.undo.settled, f.undo.finish = f.settled, f.finish
+		f.undo.remaining, f.undo.rate = f.remaining, f.rate
+		f.settle(now)
+	} else if f.undo.settled < now && rate == f.undo.rate {
+		f.settled, f.finish, f.remaining = f.undo.settled, f.undo.finish, f.undo.remaining
+		restored = true
+	}
 	f.rate = rate
 	f.gen++
 	if rate > 0 {
@@ -787,7 +822,9 @@ func (en *engine) setRate(fid int32, now sim.Time, rate float64) {
 			f.starved = false
 			en.starvedNow--
 		}
-		f.finish = now.Add(sim.Seconds(f.remaining / rate))
+		if !restored {
+			f.finish = now.Add(sim.Seconds(f.remaining / rate))
+		}
 		en.done.Push(doneEntry{t: f.finish, fid: fid, gen: f.gen})
 	}
 }

@@ -13,6 +13,12 @@ import (
 	"rackfab/internal/workload"
 )
 
+// arrive activates flow fid alone: an arrival batch of one, the shape every
+// arrival took before same-instant arrivals were batched.
+func (en *engine) arrive(fid int32, now sim.Time) {
+	en.arriveBatch([]int32{fid}, now)
+}
+
 // activeEngine builds an engine over g with every spec arrived at t=0, the
 // worst case for bottleneck-share ties.
 func activeEngine(t testing.TB, g *topo.Graph, specs []workload.FlowSpec) *engine {
@@ -128,18 +134,38 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 	}
 }
 
+// churnOps selects the optional ops of a churnEngines walk. With both off
+// the walk draws nothing extra from its RNG, so a walk is a pure function
+// of its seed and the ops it enables.
+type churnOps struct {
+	// faults interleaves link capacity ops (down / up / degrade on random
+	// edges) with the flow events.
+	faults bool
+	// bursts turns some arrivals into bursts of k ≥ 2 flows at one
+	// instant: the warm engine takes a burst through one arriveBatch, the
+	// cold engine one arrive at a time, so every check after a burst also
+	// holds the batch ≡ sequential arrival.
+	bursts bool
+}
+
+// churnCounts tallies what a churnEngines walk exercised: bursts taken and
+// burst flows that arrived straight into a dead path.
+type churnCounts struct {
+	bursts, burstStarved int
+}
+
 // churnEngines drives a warm and a cold engine through the identical random
-// interleaving of arrivals and completions — and, when withFaults is set,
-// link capacity ops (down / up / degrade on random edges) — calling check
-// after every event. The interleaving deliberately drains and regrows
-// components, so warm refills seed from non-zero previous allocations —
-// arrivals into partially frozen neighborhoods, completions that split
-// components — not just the monotone growth of a t=0 burst. When every
+// interleaving of arrivals and completions — plus the fault and burst ops
+// that ops enables — calling check after every event. The interleaving
+// deliberately drains and regrows components, so warm refills seed from
+// non-zero previous allocations — arrivals into partially frozen
+// neighborhoods, completions that split components — not just the
+// monotone growth of a t=0 burst. When every
 // active flow is starved behind downed links the walk heals the
 // lowest-indexed dead edge (the role a fault schedule's repair events play
 // in a real run) so it always terminates; it restores the shared graph's
 // administrative state on exit.
-func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, withFaults bool, check func(warm, cold *engine)) {
+func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, ops churnOps, check func(warm, cold *engine)) churnCounts {
 	t.Helper()
 	specs = canonicalize(specs)
 	warm := newEngine(g, 450*sim.Nanosecond)
@@ -156,7 +182,8 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 	for i := range factor {
 		factor[i] = 1
 	}
-	if withFaults {
+	var counts churnCounts
+	if ops.faults {
 		defer func() {
 			for _, e := range edges {
 				e.SetEnabled(true)
@@ -170,12 +197,12 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 	}
 	now := sim.Time(0)
 	arrived := 0
-	for ops := 0; arrived < len(specs) || warm.activeCount > 0; ops++ {
-		if ops > 100000 {
+	for step := 0; arrived < len(specs) || warm.activeCount > 0; step++ {
+		if step > 100000 {
 			t.Fatal("churn walk did not terminate")
 		}
 		now = now.Add(sim.Microsecond)
-		if withFaults && rng.Intn(4) == 0 {
+		if ops.faults && rng.Intn(4) == 0 {
 			e := edges[rng.Intn(len(edges))]
 			var f float64
 			switch rng.Intn(3) {
@@ -193,7 +220,33 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 		// Bias toward arrivals while any remain, but complete often enough
 		// that components shrink, split, and regrow mid-run.
 		doArrive := arrived < len(specs) && (warm.activeCount == 0 || rng.Intn(3) != 0)
-		if doArrive {
+		// A burst lands only where a Session could put one: no earlier
+		// completion is still pending (the walk's clock otherwise runs
+		// ahead of projected finishes, which a real event loop never does).
+		if doArrive && ops.bursts && len(specs)-arrived >= 2 && rng.Intn(2) == 0 && notOverdue(warm, now) {
+			k := 2 + rng.Intn(min(len(specs)-arrived-1, 7))
+			batch := make([]int32, k)
+			for i := range batch {
+				batch[i] = int32(arrived + i)
+			}
+			warm.arriveBatch(batch, now)
+			for _, fid := range batch {
+				cold.arrive(fid, now)
+				if warm.flows[fid].starved {
+					counts.burstStarved++
+				}
+			}
+			arrived += k
+			counts.bursts++
+			wt, wid := warm.nextDone()
+			ct, cid := cold.nextDone()
+			if wt != ct || wid != cid {
+				t.Fatalf("completion schedules diverged after a %d-flow burst: batch (%v, %d) vs sequential (%v, %d)", k, wt, wid, ct, cid)
+			}
+			if warm.starvedNow != cold.starvedNow {
+				t.Fatalf("%d-flow burst left %d flows starved, sequential arrival %d", k, warm.starvedNow, cold.starvedNow)
+			}
+		} else if doArrive {
 			warm.arrive(int32(arrived), now)
 			cold.arrive(int32(arrived), now)
 			arrived++
@@ -228,6 +281,14 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 		}
 		check(warm, cold)
 	}
+	return counts
+}
+
+// notOverdue reports whether no active flow of en is projected to finish
+// before now.
+func notOverdue(en *engine, now sim.Time) bool {
+	t, _ := en.nextDone()
+	return t >= now
 }
 
 // TestWarmStartMatchesColdUnderChurn is the warm-start gate: after every
@@ -255,7 +316,7 @@ func TestWarmStartMatchesColdUnderChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, false, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, churnOps{}, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -297,7 +358,7 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, true, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, churnOps{faults: true}, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -311,6 +372,88 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(29))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchArrivalMatchesSequential holds a same-instant arrival batch to
+// the sequential arrivals it replaces: the fault-churn walk, with bursts of
+// k ≥ 2 flows that the warm engine activates through one arriveBatch and
+// the cold engine one arrive at a time. After every event the rate vectors
+// match bit for bit and the max-min certificate holds; after every burst
+// the completion schedules and starvation counts match too. The sample must
+// include bursts onto dead paths, or the starvation half went untested.
+func TestBatchArrivalMatchesSequential(t *testing.T) {
+	var total churnCounts
+	prop := func(seed int64, sideRaw, flowsRaw uint8) bool {
+		side := 3 + int(sideRaw)%3
+		n := side * side
+		flows := 4 + int(flowsRaw)%40
+		rng := sim.NewRNG(seed)
+		specs := make([]workload.FlowSpec, 0, flows)
+		for len(specs) < flows {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			if src == dst {
+				continue
+			}
+			specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Bytes: 250e3})
+		}
+		// A torus reroutes around most downed links; on a line every down
+		// partitions, so bursts land on dead paths there.
+		g := topo.NewTorus(side, side, topo.Options{})
+		if flowsRaw%2 == 1 {
+			g = topo.NewLine(n, topo.Options{})
+		}
+		c := churnEngines(t, g, specs, rng, churnOps{faults: true, bursts: true}, func(warm, cold *engine) {
+			for fid := range warm.flows {
+				if w, c := warm.flows[fid].rate, cold.flows[fid].rate; w != c {
+					t.Fatalf("flow %d: batch rate %g != sequential rate %g", fid, w, c)
+				}
+			}
+			checkMaxMin(t, warm)
+		})
+		total.bursts += c.bursts
+		total.burstStarved += c.burstStarved
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(31))}); err != nil {
+		t.Fatal(err)
+	}
+	if total.bursts == 0 || total.burstStarved == 0 {
+		t.Fatalf("sample took %d bursts with %d flows starved on arrival; want both > 0", total.bursts, total.burstStarved)
+	}
+}
+
+// TestRateRoundTripLeavesNoTrace: a flow whose rate moves and comes back
+// within one instant — what an intermediate fill of several at that
+// instant does to a bystander — keeps its exact settlement and completion
+// projection, as if only the last fill had run. Re-deriving them from a
+// re-settled remaining would round to a neighbouring picosecond.
+func TestRateRoundTripLeavesNoTrace(t *testing.T) {
+	g := topo.NewLine(2, topo.Options{})
+	en := newEngine(g, 450*sim.Nanosecond)
+	if err := en.addFlows([]workload.FlowSpec{{Src: 0, Dst: 1, Bytes: 1e6}}); err != nil {
+		t.Fatal(err)
+	}
+	en.arrive(0, 0)
+	f := &en.flows[0]
+	before := *f
+	now := sim.Time(3_333_333)
+	en.setRate(0, now, f.rate/3)
+	if f.settled != now || f.finish == before.finish {
+		t.Fatalf("rate change did not settle: settled %v finish %v", f.settled, f.finish)
+	}
+	en.setRate(0, now, before.rate)
+	if f.settled != before.settled || f.remaining != before.remaining || f.finish != before.finish {
+		t.Fatalf("round trip left a trace: settled %v remaining %v finish %v, want %v %v %v",
+			f.settled, f.remaining, f.finish, before.settled, before.remaining, before.finish)
+	}
+	if at, fid := en.nextDone(); fid != 0 || at != before.finish {
+		t.Fatalf("next completion (%v, %d), want (%v, 0)", at, fid, before.finish)
+	}
+	// A later instant settles from the restored state as usual.
+	en.setRate(0, 2*now, f.rate/2)
+	if f.settled != 2*now || f.remaining >= before.remaining {
+		t.Fatalf("later change did not settle: settled %v remaining %v", f.settled, f.remaining)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rackfab
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -171,11 +172,17 @@ func TestIncastAndHotspotGenerators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := IncastTraffic(c, 5, 8, 32<<10)
+	in, err := IncastTraffic(c, 5, 8, 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(in) != 8 {
 		t.Fatalf("incast specs = %d", len(in))
 	}
-	hs := HotspotTraffic(c, 100, 2, 0.7, 16<<10)
+	hs, err := HotspotTraffic(c, 100, 2, 0.7, 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(hs) != 100 {
 		t.Fatalf("hotspot specs = %d", len(hs))
 	}
@@ -184,6 +191,53 @@ func TestIncastAndHotspotGenerators(t *testing.T) {
 	}
 	if err := c.RunUntilDone(2 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGeneratorsRejectBadArguments holds IncastTraffic and HotspotTraffic
+// to errors, not panics, on arguments outside their domain — each row
+// reached a panic inside internal/workload (or a silently wrong flow
+// count) before the generators validated up front.
+func TestGeneratorsRejectBadArguments(t *testing.T) {
+	c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	incast := func(dst, fanIn int, size int64) func() error {
+		return func() error { _, err := IncastTraffic(c, dst, fanIn, size); return err }
+	}
+	hotspot := func(count, hot int, frac float64, size int64) func() error {
+		return func() error { _, err := HotspotTraffic(c, count, hot, frac, size); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+		ok   bool
+	}{
+		{"incast fan-in = nodes", incast(5, 16, 1<<10), false},
+		{"incast fan-in > nodes", incast(5, 40, 1<<10), false},
+		{"incast fan-in 0", incast(5, 0, 1<<10), false},
+		{"incast negative fan-in", incast(5, -1, 1<<10), false},
+		{"incast dst negative", incast(-1, 4, 1<<10), false},
+		{"incast dst = nodes", incast(16, 4, 1<<10), false},
+		{"incast zero size", incast(5, 4, 0), false},
+		{"hotspot hot = nodes", hotspot(10, 16, 0.5, 1<<10), false},
+		{"hotspot hot > nodes", hotspot(10, 17, 0.5, 1<<10), false},
+		{"hotspot hot 0", hotspot(10, 0, 0.5, 1<<10), false},
+		{"hotspot fraction > 1", hotspot(10, 2, 1.5, 1<<10), false},
+		{"hotspot fraction < 0", hotspot(10, 2, -0.1, 1<<10), false},
+		{"hotspot fraction NaN", hotspot(10, 2, math.NaN(), 1<<10), false},
+		{"hotspot negative count", hotspot(-1, 2, 0.5, 1<<10), false},
+		{"hotspot zero count", hotspot(0, 2, 0.5, 1<<10), false},
+		{"hotspot negative size", hotspot(10, 2, 0.5, -1), false},
+		// The domain's edges stay legal.
+		{"incast fan-in nodes-1", incast(0, 15, 1), true},
+		{"hotspot hot nodes-1", hotspot(1, 15, 1, 1), true},
+		{"hotspot fraction 0", hotspot(1, 1, 0, 1), true},
+	} {
+		if err := tc.call(); (err == nil) != tc.ok {
+			t.Errorf("%s: error %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

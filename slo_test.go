@@ -10,7 +10,10 @@ import (
 // t=0 on a cluster of at least fanIn+1 nodes.
 func incastSpecs(t *testing.T, c *Cluster, dst, fanIn int, size int64) []FlowSpec {
 	t.Helper()
-	specs := IncastTraffic(c, dst, fanIn, size)
+	specs, err := IncastTraffic(c, dst, fanIn, size)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(specs) != fanIn {
 		t.Fatalf("incast generated %d flows, want %d", len(specs), fanIn)
 	}

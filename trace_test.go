@@ -19,7 +19,10 @@ func traceRun(t *testing.T, engine Engine) (string, string, *Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := IncastTraffic(c, 5, 8, 32<<10)
+	specs, err := IncastTraffic(c, 5, 8, 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Inject(specs); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +99,11 @@ func TestPeakQueueDelayAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Inject(IncastTraffic(c, 5, 8, 64<<10)); err != nil {
+	specs, err := IncastTraffic(c, 5, 8, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Inject(specs); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RunUntilDone(10 * time.Second); err != nil {

@@ -53,24 +53,47 @@ func ShuffleTraffic(c *Cluster, bytesPerPair int64) []FlowSpec {
 	return fromWorkload(specs)
 }
 
-// IncastTraffic generates a fanIn-to-one burst into dst.
-func IncastTraffic(c *Cluster, dst, fanIn int, size int64) []FlowSpec {
+// IncastTraffic generates a fanIn-to-one burst into dst: fanIn distinct
+// sources, none of them dst, each send size bytes at once. It errors unless
+// dst is a node of the cluster, 1 ≤ fanIn < Nodes() and size is positive.
+func IncastTraffic(c *Cluster, dst, fanIn int, size int64) ([]FlowSpec, error) {
+	n := c.Nodes()
+	switch {
+	case dst < 0 || dst >= n:
+		return nil, fmt.Errorf("rackfab: incast destination %d outside the cluster's %d nodes", dst, n)
+	case fanIn < 1 || fanIn >= n:
+		return nil, fmt.Errorf("rackfab: incast fan-in %d must be in [1, %d) to leave the destination out", fanIn, n)
+	case size <= 0:
+		return nil, fmt.Errorf("rackfab: incast needs a positive flow size, got %d", size)
+	}
 	rng := sim.NewRNG(c.cfg.Seed).Split("traffic/incast")
-	return fromWorkload(workload.Incast(rng, c.Nodes(), dst, fanIn, workload.Fixed(size)))
+	return fromWorkload(workload.Incast(rng, n, dst, fanIn, workload.Fixed(size))), nil
 }
 
 // HotspotTraffic generates skewed traffic: frac of count flows target the
-// first hot nodes.
-func HotspotTraffic(c *Cluster, count, hot int, frac float64, size int64) []FlowSpec {
+// first hot nodes. It errors unless count and size are positive,
+// 1 ≤ hot < Nodes() and frac is in [0, 1].
+func HotspotTraffic(c *Cluster, count, hot int, frac float64, size int64) ([]FlowSpec, error) {
+	n := c.Nodes()
+	switch {
+	case count < 1:
+		return nil, fmt.Errorf("rackfab: hotspot needs a positive flow count, got %d", count)
+	case hot < 1 || hot >= n:
+		return nil, fmt.Errorf("rackfab: hotspot hot set %d must be in [1, %d)", hot, n)
+	case !(frac >= 0 && frac <= 1):
+		return nil, fmt.Errorf("rackfab: hotspot fraction %v outside [0, 1]", frac)
+	case size <= 0:
+		return nil, fmt.Errorf("rackfab: hotspot needs a positive flow size, got %d", size)
+	}
 	rng := sim.NewRNG(c.cfg.Seed).Split("traffic/hotspot")
 	specs := workload.Hotspot(rng, workload.HotspotConfig{
-		Nodes: c.Nodes(), Flows: count,
+		Nodes: n, Flows: count,
 		Size:             workload.Fixed(size),
 		HotNodes:         hot,
 		HotFraction:      frac,
 		MeanInterarrival: 2 * sim.Microsecond,
 	})
-	return fromWorkload(specs)
+	return fromWorkload(specs), nil
 }
 
 // PermutationTraffic generates one random permutation: every node sends
