@@ -260,13 +260,36 @@ func BenchmarkClusterFluidRun(b *testing.B) {
 // steady-state unit of a soak: per-tick cost must track the in-flight flow
 // count, not the soak's age, so the gated number (BENCH_engine.json) holds
 // whether the loop has run for simulated milliseconds or hours.
-func BenchmarkServiceTick(b *testing.B) {
+func BenchmarkServiceTick(b *testing.B) { benchServiceTick(b, false) }
+
+// BenchmarkServiceTickFlaps is BenchmarkServiceTick under Poisson link
+// flaps across the timed ticks (an onset every 5 ms on average, 5 ms mean
+// outage), so arrivals meet a repaired table and pay the re-path check.
+// BenchmarkServiceTick has no faults and never re-paths.
+func BenchmarkServiceTickFlaps(b *testing.B) { benchServiceTick(b, true) }
+
+func benchServiceTick(b *testing.B, flaps bool) {
+	// Warm-up: the first ticks pay the one-time session and routing build
+	// plus cold solver fills; the measured number is the steady-state
+	// marginal tick, so those land before the timer.
+	const warmup = 32
 	cluster, err := rackfab.New(rackfab.Config{
 		Topology: rackfab.Grid, Width: 16, Height: 16,
 		Engine: rackfab.EngineFluid, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if flaps {
+		sched := rackfab.PoissonFlaps(cluster, rackfab.FlapConfig{
+			Flaps:      b.N/5 + 1,
+			Start:      warmup * time.Millisecond,
+			MeanGap:    5 * time.Millisecond,
+			MeanOutage: 5 * time.Millisecond,
+		})
+		if err := cluster.ApplyFaults(sched); err != nil {
+			b.Fatal(err)
+		}
 	}
 	s, err := cluster.Serve(rackfab.ServeConfig{
 		Tick: time.Millisecond,
@@ -277,10 +300,7 @@ func BenchmarkServiceTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm-up: the first ticks pay the one-time session and routing build
-	// plus cold solver fills; the gated number is the steady-state marginal
-	// tick, so those land before the timer.
-	for i := 0; i < 32; i++ {
+	for i := 0; i < warmup; i++ {
 		if err := s.Tick(); err != nil {
 			b.Fatal(err)
 		}

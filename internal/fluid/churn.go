@@ -11,6 +11,7 @@ import (
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
 	"rackfab/internal/trace"
+	"rackfab/internal/workload"
 )
 
 // This file is the fluid engine's fault-injection surface: mid-run link
@@ -81,7 +82,7 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 	if len(en.faultEdges) > 0 && en.table != nil {
 		cols := en.table.RepairBatch(en.graph, route.UniformCost, en.faultEdges)
 		en.stats.RouteRepairs += int64(cols)
-		en.routesChanged = true
+		en.routeGen++
 		en.trace.Record(trace.Event{
 			At: now, Kind: trace.FaultRepair,
 			Flow: -1, Link: -1, Node: -1, Value: int64(cols),
@@ -101,22 +102,29 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 
 // repath computes flow fid's current shortest path against the live
 // (repaired) table. ok is false when the destination is unreachable — a
-// genuine partition; any other Path failure is a table-consistency bug and
-// panics rather than silently starving the flow.
+// genuine partition; any other routing failure is a table-consistency bug
+// and panics rather than silently starving the flow.
 func (en *engine) repath(fid int32) ([]int32, bool) {
-	f := &en.flows[fid]
-	path, err := en.table.Path(topo.NodeID(f.spec.Src), topo.NodeID(f.spec.Dst))
+	links, err := en.route(en.flows[fid].spec)
 	if err != nil {
 		if errors.Is(err, route.ErrUnreachable) {
 			return nil, false
 		}
 		panic(fmt.Sprintf("fluid: repath flow %d: %v", fid, err))
 	}
-	links := make([]int32, len(path))
-	for i, e := range path {
-		links[i] = int32(e.Index())
-	}
 	return links, true
+}
+
+// route walks spec's shortest path (the table's first tie at every hop)
+// into the reused scratch buffer and returns an exact-size copy: one
+// allocation per routed flow, none for the walk.
+func (en *engine) route(spec workload.FlowSpec) ([]int32, error) {
+	links, err := en.table.AppendPathLinks(en.routeBuf[:0], topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
+	en.routeBuf = links
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(links), nil
 }
 
 // reroute moves active flow fid onto a new path mid-flight and re-solves

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"slices"
 	"testing"
 
 	"rackfab/internal/faults"
@@ -262,6 +263,83 @@ func TestSessionInjectUnreachableParks(t *testing.T) {
 	}
 	if st.Hops != 2 {
 		t.Fatalf("parked flow finished with %d hops, want 2", st.Hops)
+	}
+	s.RestoreGraph()
+}
+
+// TestArrivalRepathsOnlyAfterRepair pins the route generation: an arrival
+// re-paths exactly when the table was repaired between its routing and its
+// arrival. Flows run 0→3 along the top row of a 4×4 grid, whose only
+// shortest path crosses the 1–2 link; that link fails at 10µs.
+//
+//   - a: injected at 0, arrives at 5µs before the failure — it keeps the
+//     links slice (the very backing array) Inject routed it into;
+//   - b: injected at 0, arrives at 20µs after the failure — it re-paths
+//     off the downed link onto a 5-hop detour;
+//   - c: injected at 25µs after the failure, arrives at 30µs with no repair
+//     since — it keeps its Inject-time links although routes changed
+//     earlier in the run.
+func TestArrivalRepathsOnlyAfterRepair(t *testing.T) {
+	us := sim.Time(sim.Microsecond)
+	g := topo.NewGrid(4, 4, topo.Options{})
+	src, dst := g.NodeAt(0, 0), g.NodeAt(3, 0)
+	mid, ok := g.EdgeBetween(g.NodeAt(1, 0), g.NodeAt(2, 0))
+	if !ok {
+		t.Fatal("missing top-row 1-2 edge")
+	}
+	sched := faults.New(
+		faults.Event{At: 10 * us, Target: mid.Index(), Kind: faults.LinkDown},
+		faults.Event{At: 200 * us, Target: mid.Index(), Kind: faults.LinkUp},
+	)
+	s, err := NewSession(Config{Graph: g, Faults: sched}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flow re-reads a flow's state: Inject may move the flows slice.
+	flow := func(id int) *flowState { return &s.en.flows[id-s.idBase] }
+	inject := func(at sim.Time, label string) (id int, links *int32) {
+		t.Helper()
+		ids, err := s.Inject([]workload.FlowSpec{{Src: int(src), Dst: int(dst), Bytes: 10e6, At: at, Label: label}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids[0], &flow(ids[0]).links[0]
+	}
+	advance := func(until sim.Time) {
+		t.Helper()
+		if err := s.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crossesMid := func(id int) bool { return slices.Contains(flow(id).links, int32(mid.Index())) }
+
+	a, aLinks := inject(5*us, "a")
+	b, _ := inject(20*us, "b")
+	if !crossesMid(a) || !crossesMid(b) {
+		t.Fatalf("pre-failure routes %v, %v miss the 1-2 link", flow(a).links, flow(b).links)
+	}
+	advance(6 * us)
+	if f := flow(a); !f.active || &f.links[0] != aLinks {
+		t.Fatalf("a: active %v, links re-pathed with no repair since Inject", f.active)
+	}
+
+	advance(21 * us)
+	if f := flow(b); !f.active || crossesMid(b) || len(f.links) != 5 {
+		t.Fatalf("b: active %v, links %v; want a 5-hop detour off the downed link", f.active, f.links)
+	}
+
+	advance(25 * us)
+	c, cLinks := inject(30*us, "c")
+	if crossesMid(c) {
+		t.Fatalf("c routed over the downed link: %v", flow(c).links)
+	}
+	advance(31 * us)
+	if f := flow(c); !f.active || &f.links[0] != cLinks {
+		t.Fatalf("c: active %v, links re-pathed with no repair since Inject", f.active)
+	}
+	advance(sim.Time(sim.Second))
+	if !s.Done() {
+		t.Fatal("session did not drain")
 	}
 	s.RestoreGraph()
 }

@@ -22,6 +22,9 @@ type flowState struct {
 	spec  workload.FlowSpec
 	links []int32 // stable link IDs (topo Edge.Index) along the path
 	hops  int
+	// routeGen is the engine's route generation links were computed
+	// under; an arrival re-paths only when the table has moved since.
+	routeGen uint64
 
 	remaining float64  // bits left at time `settled`
 	rate      float64  // bit/s from the last max-min fill (0 = starved)
@@ -101,14 +104,16 @@ type engine struct {
 
 	// Fault-injection state. nominalCap is the healthy-capacity snapshot
 	// fault factors multiply; edgeByIdx resolves a stable link ID back to
-	// its edge for enable/disable + route repair; routesChanged marks the
-	// table diverged from the one addFlows pre-routed against, so arrivals
-	// re-path; starvedNow counts active flows pinned at rate 0.
-	nominalCap    []float64
-	edgeByIdx     []*topo.Edge
-	routesChanged bool
-	starvedNow    int
-	seedBuf       []int32 // refill seed: a reroute's old ∪ new path, an arrival batch's paths
+	// its edge for enable/disable + route repair; routeGen counts the
+	// table's repairs, so a flow whose recorded generation is older was
+	// routed against a table that has since changed; starvedNow counts
+	// active flows pinned at rate 0.
+	nominalCap []float64
+	edgeByIdx  []*topo.Edge
+	routeGen   uint64
+	starvedNow int
+	seedBuf    []int32 // refill seed: a reroute's old ∪ new path, an arrival batch's paths
+	routeBuf   []int32 // route's walk scratch
 
 	// Fault-group scratch (applyLinkEventGroup): the instant's changed
 	// links (refill seed), admin-flipped edges (one RepairBatch), and
@@ -228,15 +233,11 @@ func (en *engine) addFlows(specs []workload.FlowSpec) error {
 		en.table = route.Build(en.graph, route.UniformCost)
 	}
 	for i, spec := range specs {
-		path, err := en.table.Path(topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
+		links, err := en.route(spec)
 		if err != nil {
 			return err
 		}
-		links := make([]int32, len(path))
-		for j, e := range path {
-			links[j] = int32(e.Index())
-		}
-		en.flows[i] = flowState{spec: spec, links: links, hops: len(path)}
+		en.flows[i] = flowState{spec: spec, links: links, hops: len(links), routeGen: en.routeGen}
 	}
 	return nil
 }
@@ -252,16 +253,12 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 		en.table = route.Build(en.graph, route.UniformCost)
 	}
 	for _, spec := range specs {
-		fs := flowState{spec: spec}
-		path, err := en.table.Path(topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
+		fs := flowState{spec: spec, routeGen: en.routeGen}
+		links, err := en.route(spec)
 		switch {
 		case err == nil:
-			links := make([]int32, len(path))
-			for j, e := range path {
-				links[j] = int32(e.Index())
-			}
 			fs.links = links
-			fs.hops = len(path)
+			fs.hops = len(links)
 		case errors.Is(err, route.ErrUnreachable):
 			// Parked: every current path crosses a dead link.
 		default:
@@ -286,16 +283,18 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 // would have moved and restored end where it started, so completion
 // projections match one-at-a-time arrival to the picosecond as well.
 //
-// After a fault has changed routing, the path pre-computed by addFlows may
-// be stale: each flow re-paths against the repaired table, and if its
-// destination is currently unreachable it keeps the pre-fault path — every
-// such path crosses a dead link, so the flow parks at rate 0 until a repair
-// heals the partition (rescueStarved re-paths it then).
+// A flow routed before the table's latest repair (its routeGen is behind
+// the engine's) may hold a stale path: it re-paths against the repaired
+// table, and if its destination is currently unreachable it keeps the
+// pre-fault path — every such path crosses a dead link, so the flow parks
+// at rate 0 until a repair heals the partition (rescueStarved re-paths it
+// then). A flow routed under the current table keeps its links: a walk
+// over an unchanged table would return the same path.
 func (en *engine) arriveBatch(fids []int32, now sim.Time) {
 	seed := en.seedBuf[:0]
 	for _, fid := range fids {
 		f := &en.flows[fid]
-		if en.routesChanged {
+		if f.routeGen != en.routeGen {
 			if links, ok := en.repath(fid); ok {
 				f.links = links
 				f.hops = len(links)

@@ -367,7 +367,8 @@ func fuzzShape(sel uint8) *topo.Graph {
 // through one RepairBatch. After every batch the repaired table must equal
 // a fresh Build — distances and NextHopECMP tie lists — and Path must
 // terminate for every pair: at the destination when it is reachable, with
-// ErrUnreachable when it is not. Prices are multiples of 0.5, so walks pass
+// ErrUnreachable when it is not. AppendPathLinks must return Path's edge
+// indices and errors on every pair. Prices are multiples of 0.5, so walks pass
 // through uniform (BFS) and priced (Dijkstra) snapshots alike.
 //
 // Ops are byte pairs (op, edge): op%4 is disable, enable, re-price (to
@@ -407,6 +408,7 @@ func FuzzRouteRepair(f *testing.F) {
 			tablesEqual(t, "repaired vs fresh", Build(g, cost), tab)
 			for from := topo.NodeID(0); int(from) < g.NumNodes(); from++ {
 				for dst := topo.NodeID(0); int(dst) < g.NumNodes(); dst++ {
+					checkPathLinks(t, "repaired", tab, from, dst)
 					path, err := tab.Path(from, dst)
 					if !tab.Reachable(from, dst) {
 						if !errors.Is(err, ErrUnreachable) {

@@ -61,8 +61,9 @@ const eps = 1e-9
 // over one graph. Distances are stored column-major — column dst is the
 // contiguous slice dist[dst*n : dst*n+n] — so a column build writes one
 // slice in place and a repair triage reads one. The ECMP tie set of a pair
-// is never stored: NextHop, NextHopECMP and Path derive it on each lookup
-// from the column and the cost snapshot, in adjacency order.
+// is never stored: lookups derive it from the column and the cost snapshot,
+// in adjacency order. NextHop, Path and AppendPathLinks stop at the first
+// tie; only NextHopECMP collects them all.
 type Table struct {
 	n      int
 	g      *topo.Graph
@@ -188,7 +189,10 @@ func (t *Table) columnMoves(dst int, changes []change) bool {
 				gap, hi = -gap, ch.b
 			}
 			if math.Abs(gap-ch.c0) < eps { // the edge was on dst's shortest-path DAG
-				if ch.c1 < ch.c0 || !t.hasTie(col, hi) {
+				if ch.c1 < ch.c0 {
+					return true
+				}
+				if _, ok := t.firstTie(col, topo.NodeID(hi)); !ok {
 					return true
 				}
 				continue
@@ -205,15 +209,16 @@ func (t *Table) columnMoves(dst int, changes []change) bool {
 	return false
 }
 
-// hasTie reports whether from has at least one cost-tied next hop in
-// column col under the current cost snapshot.
-func (t *Table) hasTie(col []float64, from int) bool {
-	for _, e := range t.g.Adjacent(topo.NodeID(from)) {
-		if t.tied(col, topo.NodeID(from), e) {
-			return true
+// firstTie returns from's first cost-tied next hop in column col under the
+// current cost snapshot, in adjacency order. It is the one tie every
+// deterministic lookup takes: NextHop, Path and AppendPathLinks.
+func (t *Table) firstTie(col []float64, from topo.NodeID) (*topo.Edge, bool) {
+	for _, e := range t.g.Adjacent(from) {
+		if t.tied(col, from, e) {
+			return e, true
 		}
 	}
-	return false
+	return nil, false
 }
 
 // tied reports whether e, leaving from, starts a shortest path in column
@@ -328,7 +333,11 @@ func (b *colBuilder) dijkstra(col []float64, dst topo.NodeID) {
 // self-delivery or unreachable destinations — including pairs partitioned
 // by a failure and repaired into the table afterwards.
 func (t *Table) NextHop(from, to topo.NodeID) (*topo.Edge, bool) {
-	return t.NextHopECMP(from, to, 0)
+	col := t.column(int(to))
+	if from == to || math.IsInf(col[from], 1) {
+		return nil, false
+	}
+	return t.firstTie(col, from)
 }
 
 // NextHopECMP hash-spreads over all cost-tied next hops so distinct flows
@@ -363,32 +372,55 @@ func (t *Table) Reachable(from, to topo.NodeID) bool {
 	return !math.IsInf(t.Distance(from, to), 1)
 }
 
-// Path materializes the primary path as an edge list. An unreachable
-// destination — a genuine partition — returns an error wrapping
-// ErrUnreachable (never a zero-value path); any other error means the
-// table is inconsistent (a routing loop), which would indicate a build bug
-// rather than a network condition.
+// Path materializes the primary path (NextHop's first tie at every hop)
+// as an edge list. An unreachable destination — a genuine partition —
+// returns an error wrapping ErrUnreachable (never a zero-value path); any
+// other error means the table is inconsistent (a missing next hop or a
+// routing loop), which would indicate a build bug rather than a network
+// condition. Self-delivery is the nil path.
 func (t *Table) Path(from, to topo.NodeID) ([]*topo.Edge, error) {
-	if from == to {
-		return nil, nil
-	}
-	if !t.Reachable(from, to) {
-		return nil, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
-	}
 	var path []*topo.Edge
-	cur := from
-	for cur != to {
-		e, ok := t.NextHop(cur, to)
-		if !ok {
-			return nil, fmt.Errorf("route: no next hop from %d to %d", cur, to)
-		}
-		path = append(path, e)
-		cur = e.Other(cur)
-		if len(path) > t.n {
-			return nil, fmt.Errorf("route: loop routing %d→%d", from, to)
-		}
+	if err := t.walk(from, to, func(e *topo.Edge) { path = append(path, e) }); err != nil {
+		return nil, err
 	}
 	return path, nil
+}
+
+// AppendPathLinks appends the stable link IDs (topo Edge.Index) of Path's
+// path to buf and returns the extended slice, with Path's errors. On error,
+// and for self-delivery, buf comes back unchanged. With enough capacity in
+// buf the walk allocates nothing, which is what lets the fluid engine route
+// every flow into one reused scratch buffer.
+func (t *Table) AppendPathLinks(buf []int32, from, to topo.NodeID) ([]int32, error) {
+	n0 := len(buf)
+	if err := t.walk(from, to, func(e *topo.Edge) { buf = append(buf, int32(e.Index())) }); err != nil {
+		return buf[:n0], err
+	}
+	return buf, nil
+}
+
+// walk follows the first cost-tied next hop from from to to, handing each
+// edge to hop in path order.
+func (t *Table) walk(from, to topo.NodeID, hop func(*topo.Edge)) error {
+	if from == to {
+		return nil
+	}
+	col := t.column(int(to))
+	if math.IsInf(col[from], 1) {
+		return fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
+	}
+	for cur, hops := from, 0; cur != to; {
+		e, ok := t.firstTie(col, cur)
+		if !ok {
+			return fmt.Errorf("route: no next hop from %d to %d", cur, to)
+		}
+		hop(e)
+		cur = e.Other(cur)
+		if hops++; hops > t.n {
+			return fmt.Errorf("route: loop routing %d→%d", from, to)
+		}
+	}
+	return nil
 }
 
 // nodeDist is a priority-queue entry.

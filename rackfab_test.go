@@ -241,6 +241,25 @@ func TestGeneratorsRejectBadArguments(t *testing.T) {
 	}
 }
 
+// TestPermutationTrafficTinyCluster: a 1-node cluster has no permutation
+// partner. PermutationTraffic panicked inside internal/workload there; it
+// now returns an empty result, which both engines accept as a no-op.
+func TestPermutationTrafficTinyCluster(t *testing.T) {
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		c, err := New(Config{Topology: Grid, Width: 1, Height: 1, Engine: engine, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := PermutationTraffic(c, 1<<10)
+		if len(specs) != 0 {
+			t.Fatalf("engine %v: %d specs on a 1-node cluster, want none", engine, len(specs))
+		}
+		if flows, err := c.Inject(specs); err != nil || len(flows) != 0 {
+			t.Fatalf("engine %v: Inject(empty) = %d flows, err %v", engine, len(flows), err)
+		}
+	}
+}
+
 func TestPowerCap(t *testing.T) {
 	c, err := New(Config{
 		Topology: Grid, Width: 4, Height: 4, Seed: 8,

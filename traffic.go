@@ -99,8 +99,12 @@ func HotspotTraffic(c *Cluster, count, hot int, frac float64, size int64) ([]Flo
 // PermutationTraffic generates one random permutation: every node sends
 // size bytes to a distinct random partner simultaneously — the workload the
 // large-scale evaluation ladder (E8/E10) runs. The cluster's seed drives
-// the draw.
+// the draw. A cluster of fewer than 2 nodes has no partner to send to: the
+// result is empty (nil) there, and injecting it is a no-op.
 func PermutationTraffic(c *Cluster, size int64) []FlowSpec {
+	if c.Nodes() < 2 {
+		return nil
+	}
 	rng := sim.NewRNG(c.cfg.Seed).Split("traffic/permutation")
 	return fromWorkload(workload.Permutation(rng, c.Nodes(), workload.Fixed(size)))
 }
